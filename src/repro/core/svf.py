@@ -43,6 +43,12 @@ class SVFAccess:
     filled: int = 0
 
 
+#: Shared outcomes: the immutable results ``access`` returns instead of
+#: building a new instance per reference (fills are per-file, below).
+_OUT_OF_RANGE = SVFAccess(in_range=False)
+_HIT = SVFAccess(in_range=True, hit=True)
+
+
 class StackValueFile:
     """Circular-buffer stack value file with per-word valid/dirty bits.
 
@@ -69,6 +75,11 @@ class StackValueFile:
             )
         self.granularity = granularity
         self.capacity = capacity_bytes
+        self._granule_mask = ~(granularity - 1)
+        self._words_per_granule = granularity // self.WORD
+        self._fill = SVFAccess(
+            in_range=True, hit=False, filled=self._words_per_granule
+        )
         self.page_size = page_size
         #: optional callable(addr) invoked for every granule written
         #: back to the L1 (lets a timing model install the line there)
@@ -131,29 +142,27 @@ class StackValueFile:
         dead — dropped with no writeback.  Words entering at the top
         are live but unknown — they enter invalid and fill on demand.
         """
-        if self.tos is None:
+        old = self.tos
+        if old is None:
             self.tos = new_sp
             return 0
-        old = self.tos
         if new_sp == old:
             return 0
+        capacity = self.capacity
         written = 0
         if new_sp < old:
             # Stack grows: window slides down; top range leaves coverage.
-            lo = max(new_sp + self.capacity, new_sp)
-            hi = old + self.capacity
-            written = self._evict_range(lo, hi, writeback=True)
+            written = self._evict_range(new_sp + capacity, old + capacity, True)
             # Words entering at the bottom are freshly allocated frame
             # space: invalid, and a full-granule store may validate
             # them without any fill.
-            granularity = self.granularity
-            fresh_hi = min(old, new_sp + self.capacity)
-            start = new_sp & ~(granularity - 1)
-            self._fresh.update(range(start, fresh_hi, granularity))
+            fresh_hi = min(old, new_sp + capacity)
+            self._fresh.update(
+                range(new_sp & self._granule_mask, fresh_hi, self.granularity)
+            )
         else:
             # Stack shrinks: words between old and new TOS die.
-            kill_hi = min(new_sp, old + self.capacity)
-            self._evict_range(old, kill_hi, writeback=False)
+            self._evict_range(old, min(new_sp, old + capacity), False)
         self.tos = new_sp
         return written
 
@@ -162,41 +171,48 @@ class StackValueFile:
 
         Granules straddling the range edge are evicted whole — with
         coarse granularity this is one source of the extra traffic the
-        paper warns about.
+        paper warns about.  ``writeback_sink`` sees the dirty granules
+        in ascending address order when the range is the smaller side,
+        else in ``_words`` insertion order.
         """
         if hi <= lo:
             return 0
         granularity = self.granularity
-        words_per_granule = granularity // self.WORD
-        written = 0
+        words = self._words
         span_granules = (hi - lo) // granularity + 2
+        # Granule addresses are aligned, so the aligned values in
+        # (lo - granularity, hi) are exactly range(start, hi, granularity).
         start = lo & ~(granularity - 1)
-        if span_granules < len(self._words):
-            addresses = [
-                a
-                for a in range(start, hi, granularity)
-                if a in self._words
-            ]
-        else:
-            addresses = [a for a in self._words if lo - granularity < a < hi]
-        for addr in addresses:
-            dirty = self._words.pop(addr)
-            if writeback and dirty:
-                written += words_per_granule
-                if self.writeback_sink is not None:
-                    self.writeback_sink(addr)
-            elif not writeback:
-                self.killed_words += words_per_granule
-                if dirty:
-                    self.killed_dirty_words += words_per_granule
-        # Granules leaving coverage (either edge) are no longer fresh.
-        if len(self._fresh) > span_granules:
-            for addr in range(start, hi, granularity):
-                self._fresh.discard(addr)
-        else:
-            self._fresh.difference_update(
-                a for a in list(self._fresh) if lo - granularity < a < hi
+        if span_granules < len(words):
+            addresses = list(
+                filter(words.__contains__, range(start, hi, granularity))
             )
+        else:
+            addresses = list(filter(range(start, hi).__contains__, words))
+        pop = words.pop
+        sink = self.writeback_sink
+        if writeback and sink is not None:
+            dirty = 0
+            for addr in addresses:
+                if pop(addr):
+                    dirty += 1
+                    sink(addr)
+        else:
+            dirty = sum(map(pop, addresses))
+        # Granules leaving coverage (either edge) are no longer fresh.
+        fresh = self._fresh
+        if len(fresh) > span_granules:
+            fresh.difference_update(range(start, hi, granularity))
+        elif fresh:
+            fresh.difference_update(
+                list(filter(range(start, hi).__contains__, fresh))
+            )
+        words_per_granule = self._words_per_granule
+        if not writeback:
+            self.killed_words += len(addresses) * words_per_granule
+            self.killed_dirty_words += dirty * words_per_granule
+            return 0
+        written = dirty * words_per_granule
         self.qw_out += written
         return written
 
@@ -204,35 +220,41 @@ class StackValueFile:
 
     def access(self, addr: int, size: int, is_store: bool) -> SVFAccess:
         """Present one stack reference; updates state and traffic."""
-        if not self.covers(addr):
+        tos = self.tos
+        if tos is None or not tos <= addr < tos + self.capacity:
             self.out_of_range += 1
-            return SVFAccess(in_range=False)
-        granule = addr & ~(self.granularity - 1)
-        valid = granule in self._words
-        filled = 0
+            return _OUT_OF_RANGE
+        granule = addr & self._granule_mask
+        words = self._words
+        if granule in words:
+            if is_store:
+                words[granule] = True
+            self.hits += 1
+            return _HIT
+        fresh = self._fresh
         if is_store:
-            if not valid and size < self.granularity:
+            words[granule] = True
+            if size < self.granularity:
                 # Sub-granule store to an invalid granule: read-merge
                 # fill (never happens at the natural 8-byte/quad-word
                 # granularity for quad-word stores).
-                filled = self.granularity // self.WORD
-            elif not valid and granule in self._fresh:
+                fresh.discard(granule)
+                return self._filled()
+            if granule in fresh:
                 # Full-granule store validating freshly allocated stack
                 # without any fill: the win the valid bits exist for.
                 self.fills_avoided += 1
-            self._words[granule] = True
-        else:
-            if not valid:
-                filled = self.granularity // self.WORD
-                self._words[granule] = False
-        if not valid:
-            self._fresh.discard(granule)
-        self.qw_in += filled
-        if filled:
-            self.fills += 1
-            return SVFAccess(in_range=True, hit=False, filled=filled)
-        self.hits += 1
-        return SVFAccess(in_range=True, hit=True)
+                fresh.remove(granule)
+            self.hits += 1
+            return _HIT
+        words[granule] = False
+        fresh.discard(granule)
+        return self._filled()
+
+    def _filled(self) -> SVFAccess:
+        self.qw_in += self._words_per_granule
+        self.fills += 1
+        return self._fill
 
     # -- context switches -------------------------------------------------------
 
@@ -243,15 +265,18 @@ class StackValueFile:
         — the paper's Table 4 metric.  All words are invalidated.
         """
         self.context_switches += 1
-        dirty = 0
-        for addr, is_dirty in self._words.items():
-            if is_dirty:
-                dirty += 1
-                if self.writeback_sink is not None:
-                    self.writeback_sink(addr)
+        sink = self.writeback_sink
+        if sink is None:
+            dirty = sum(self._words.values())
+        else:
+            dirty = 0
+            for addr, is_dirty in self._words.items():
+                if is_dirty:
+                    dirty += 1
+                    sink(addr)
         self._words.clear()
         self._fresh.clear()
-        self.qw_out += dirty * (self.granularity // self.WORD)
+        self.qw_out += dirty * self._words_per_granule
         return dirty * self.granularity
 
     # -- introspection -----------------------------------------------------------

@@ -47,14 +47,17 @@ class CyclePool:
 class CycleWindow:
     """Dense occupancy window: ``slots[cycle]`` = units used.
 
-    The vectorized timing walk keeps each resource pool as a flat list
+    The lean timing walk keeps each resource pool as a flat list
     indexed by absolute cycle instead of a ``{cycle: used}`` dict —
     probe/take become two C-speed list indexings.  The caller sizes
     the window past the highest cycle it can touch (tracking a cycle
     horizon plus a per-instruction latency margin) and calls
     :meth:`grow` when the horizon approaches the end.  Semantics are
     exactly :class:`CyclePool`'s: a unit is free at ``cycle`` when
-    ``slots[cycle] < per_cycle``.
+    ``slots[cycle] < per_cycle``.  For its port pools the walk stores
+    larger values in full cycles as skip distances (see
+    ``repro.uarch.pipeline._fast_stepper``); the free/full test is
+    unchanged.
     """
 
     __slots__ = ("name", "per_cycle", "slots")

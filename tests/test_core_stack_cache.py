@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.stack_cache import StackCache
+from repro.core.stack_cache import StackCache, StackCacheAccess
 
 BASE = 0x7FFF0000
 
@@ -114,3 +114,22 @@ class TestVsSVF:
         assert cache.qw_in > 0  # line fills on write misses
         assert svf.qw_in == 0  # allocation semantics: no fills
         assert switch_cache > switch_svf  # dead frame already killed
+
+
+class TestSharedOutcomes:
+    def test_outcomes_equal_fresh_instances(self):
+        cache = StackCache(2048)
+        assert cache.access(BASE, 8, is_store=True) == StackCacheAccess(
+            hit=False, filled=4
+        )
+        assert cache.access(BASE, 8, is_store=False) == StackCacheAccess(
+            hit=True
+        )
+        # Same line index, other tag: the dirty line is written back.
+        assert cache.access(BASE + 2048, 8, is_store=False) == (
+            StackCacheAccess(hit=False, filled=4, written_back=4)
+        )
+        # The refilled line came in clean: no writeback on eviction.
+        assert cache.access(BASE, 8, is_store=False) == StackCacheAccess(
+            hit=False, filled=4
+        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.svf import StackValueFile
+from repro.core.svf import SVFAccess, StackValueFile
 
 BASE = 0x7FFF0000
 
@@ -202,3 +202,67 @@ class TestInvariants:
         svf.update_sp(BASE + 72)
         for word in svf._words:
             assert svf.covers(word)
+
+
+class TestWritebackOrder:
+    """The order of ``writeback_sink`` calls sets DL1 LRU state in the
+    timing model, so both eviction strategies pin it."""
+
+    def _sinking(self, capacity=1024):
+        svf = svf_at(BASE, capacity=capacity)
+        calls = []
+        svf.writeback_sink = calls.append
+        return svf, calls
+
+    def test_small_range_is_written_back_in_ascending_order(self):
+        # Fewer granules in the range than valid words: the range is
+        # walked in ascending address order, whatever the insertion
+        # order of the words.
+        svf, calls = self._sinking()
+        svf.access(BASE + 1016, 8, is_store=True)
+        svf.access(BASE + 1008, 8, is_store=True)
+        for offset in range(0, 64, 8):
+            svf.access(BASE + offset, 8, is_store=True)
+        assert svf.update_sp(BASE - 16) == 2
+        assert calls == [BASE + 1008, BASE + 1016]
+
+    def test_large_range_is_written_back_in_insertion_order(self):
+        # More granules in the range than valid words: the valid words
+        # are walked in the order they became valid.
+        svf, calls = self._sinking()
+        for offset in (1016, 8, 512, 256):
+            svf.access(BASE + offset, 8, is_store=True)
+        svf.access(BASE + 24, 8, is_store=False)  # clean: not written
+        assert svf.update_sp(BASE - 4096) == 4
+        assert calls == [BASE + 1016, BASE + 8, BASE + 512, BASE + 256]
+
+    def test_shrink_kills_without_calling_the_sink(self):
+        svf, calls = self._sinking()
+        svf.access(BASE + 8, 8, is_store=True)
+        svf.update_sp(BASE + 64)
+        assert calls == []
+        assert svf.killed_dirty_words == 1
+
+
+class TestSharedOutcomes:
+    def test_outcomes_equal_fresh_instances(self):
+        svf = svf_at(BASE, capacity=1024)
+        assert svf.access(BASE - 8, 8, is_store=False) == SVFAccess(
+            in_range=False
+        )
+        assert svf.access(BASE, 8, is_store=False) == SVFAccess(
+            in_range=True, hit=False, filled=1
+        )
+        assert svf.access(BASE, 8, is_store=False) == SVFAccess(
+            in_range=True, hit=True
+        )
+        assert svf.access(BASE + 8, 8, is_store=True) == SVFAccess(
+            in_range=True, hit=True
+        )
+
+    def test_coarse_fill_outcome_carries_granule_words(self):
+        svf = StackValueFile(1024, granularity=32)
+        svf.update_sp(BASE)
+        assert svf.access(BASE, 8, is_store=True) == SVFAccess(
+            in_range=True, hit=False, filled=4
+        )

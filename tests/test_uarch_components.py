@@ -121,6 +121,48 @@ class TestCache:
         cache.access(0)
         assert cache.miss_rate == 0.5
 
+    def test_dirty_line_refilled_by_read_is_clean(self):
+        # Evicting a dirty line must clear its dirty bit: once it is
+        # refilled by a read, evicting it again writes nothing back.
+        cache = Cache(self.config(assoc=1, size=64, line_size=32),
+                      memory_latency=60)
+        cache.access(0, is_write=True)
+        cache.access(64)  # evicts dirty line 0
+        assert cache.writebacks == 1
+        cache.access(0)  # read refill of line 0, evicts clean line 64
+        cache.access(64)  # evicts the clean copy of line 0
+        assert cache.writebacks == 1
+
+    def test_mru_and_non_mru_hits_keep_lru_order(self):
+        # One 4-way set: fill A..D, hit the MRU line (order unchanged)
+        # and a middle line (moves to MRU), then two misses must evict
+        # A and then C, in that order.
+        cache = Cache(self.config(assoc=4, size=128, line_size=32),
+                      memory_latency=60)
+        a, b, c, d, e, f = (32 * i for i in range(6))
+        for addr in (a, b, c, d):
+            cache.access(addr)
+        assert cache.access(d) == 3  # MRU hit
+        assert cache.access(b) == 3  # non-MRU hit: order a, c, d, b
+        cache.access(e)
+        assert not cache.probe(a)
+        assert all(cache.probe(x) for x in (b, c, d, e))
+        cache.access(f)
+        assert not cache.probe(c)
+        assert all(cache.probe(x) for x in (b, d, e, f))
+        assert (cache.hits, cache.misses) == (2, 6)
+
+    def test_probe_changes_nothing(self):
+        cache = Cache(self.config(assoc=2, size=128, line_size=32),
+                      memory_latency=60)
+        cache.access(0)
+        cache.access(64)  # same set: order 0, 64
+        assert cache.probe(0) and cache.probe(32 + 64 * 7) is False
+        assert (cache.hits, cache.misses) == (0, 2)
+        cache.access(128)  # probing 0 did not refresh it: 0 is evicted
+        assert not cache.probe(0)
+        assert cache.probe(64) and cache.probe(128)
+
 
 class TestCyclePool:
     def test_respects_per_cycle_limit(self):
