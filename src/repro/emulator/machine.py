@@ -20,6 +20,7 @@ opcode strings.  Tracing has two paths:
 
 from __future__ import annotations
 
+import sys
 from time import perf_counter
 from typing import List, Optional
 
@@ -247,11 +248,12 @@ class Machine:
         # Sentinel return address: returning here halts the machine.
         self._halt_address = TEXT_BASE + 4 * len(program.instructions) + 4
         self.registers[RA] = self._halt_address
-        # Superblock template cache, keyed on pc_index.  Text is
-        # immutable, so entries are never invalidated: False = not yet
-        # examined, None = region too short to template, else a
-        # compiled SuperblockTemplate.
-        self._superblocks: dict = {}
+        # Superblock templates, indexed by pc_index (None = not built).
+        # Text is immutable, so entries are never invalidated.
+        # _region_len[i] is the length of the template a head at i
+        # would get (0 = none).
+        self._region_len = _superblock.region_lengths(self._decoded)
+        self._superblocks: list = [None] * len(self._decoded)
         self._superblock_builds = 0
         self._superblock_replays = 0
         self._superblock_replayed = 0
@@ -379,25 +381,36 @@ class Machine:
         decoded = self._decoded
         text_base = TEXT_BASE
         count = self.instruction_count
-        # Absolute stop count, computed once (not re-derived per step).
-        stop = count + max_instructions if max_instructions is not None else None
+        # Absolute stop count, computed once (not re-derived per step);
+        # an unbounded run gets a limit no run can reach.
+        stop = (
+            count + max_instructions
+            if max_instructions is not None
+            else sys.maxsize
+        )
         pc_index = self._pc_index
         num_instructions = len(decoded)
+        halted = self.halted
 
         columns = trace_sink if isinstance(trace_sink, ColumnarTrace) else None
-        superblocks = None
+        replay = False
         sb_builds = sb_replays = sb_replayed = 0
+        sb_build_seconds = 0.0
         if columns is not None:
             emit = None
             emit_cols = self._emit_cols
             if _superblock._ENABLED:
-                superblocks = self._superblocks
-                sb_get = superblocks.get
-                sb_build = _superblock.build_template
+                replay = True
+                region_len = self._region_len
+                templates = self._superblocks
                 output_append = self.output.append
                 mem_words = memory._words
-                # Batch appenders for the 12 static columns, bound once
-                # per run call and shared by every template replay.
+                addr_extend = columns.addr.extend
+                sp_extend = columns.sp.extend
+                # Static column blobs of each replay, joined into the
+                # columns in chunks and before anything else appends.
+                block_log = []
+                log_append = block_log.append
                 sb_emitters = (
                     columns.pc.frombytes,
                     columns.opcode.extend,
@@ -412,6 +425,7 @@ class Machine:
                     columns.spimm.frombytes,
                     columns.next_pc.frombytes,
                 )
+                flush_log = _superblock.flush_log
             col_pc = columns.pc.append
             col_opcode = columns.opcode.append
             col_flags = columns.flags.append
@@ -430,33 +444,50 @@ class Machine:
             emit = trace_sink.append if trace_sink is not None else None
             emit_records = self._emit_records
 
-        while not self.halted and (stop is None or count < stop):
+        while not halted and count < stop:
             if not 0 <= pc_index < num_instructions:
+                if replay and block_log:
+                    flush_log(block_log, sb_emitters)
                 raise EmulatorError(
                     f"pc out of range: index {pc_index} "
                     f"(0x{text_base + 4 * pc_index:x})"
                 )
-            if superblocks is not None:
-                template = sb_get(pc_index, False)
-                if template is False:
-                    template = sb_build(
-                        decoded, emit_cols, pc_index, text_base
-                    )
-                    superblocks[pc_index] = template
-                    if template is not None:
+            if replay:
+                length = region_len[pc_index]
+                # Build and replay only a region the window can hold;
+                # otherwise step, leaving the head for a later window.
+                if length and count + length <= stop:
+                    template = templates[pc_index]
+                    if template is None:
+                        built = perf_counter()
+                        template = templates[pc_index] = (
+                            _superblock.build_template(
+                                decoded, emit_cols, pc_index, length,
+                                text_base, self._halt_address,
+                                self._index_of,
+                            )
+                        )
+                        sb_build_seconds += perf_counter() - built
                         sb_builds += 1
-                if template is not None and (
-                    stop is None or count + template.length <= stop
-                ):
-                    template.replay(
-                        registers, mem_words, mem_load, mem_load_signed,
-                        mem_store, output_append, columns, sb_emitters,
-                    )
-                    count += template.length
-                    pc_index = template.end_index
+                    try:
+                        pc_index, blobs, halted = template.run(
+                            registers, mem_words, mem_load,
+                            mem_load_signed, mem_store, output_append,
+                            addr_extend, sp_extend,
+                        )
+                    except BaseException as error:
+                        flush_log(block_log, sb_emitters)
+                        template.emit_retired(columns, error)
+                        raise
+                    log_append(blobs)
+                    if len(block_log) >= 4096:
+                        flush_log(block_log, sb_emitters)
+                    count += length
                     sb_replays += 1
-                    sb_replayed += template.length
+                    sb_replayed += length
                     continue
+                if block_log:
+                    flush_log(block_log, sb_emitters)
             (
                 kind,
                 fn,
@@ -517,14 +548,14 @@ class Machine:
                 taken = True
                 destination = registers[rb]
                 if destination == self._halt_address:
-                    self.halted = True
+                    halted = True
                     next_index = pc_index
                 else:
                     next_index = self._index_of(destination)
             elif kind == 9:  # _K_PRINT
                 self.output.append(_signed(registers[ra]))
             elif kind == 10:  # _K_HALT
-                self.halted = True
+                halted = True
                 next_index = pc_index
             # kind == 11 (_K_NOP): nothing to do.
 
@@ -599,7 +630,10 @@ class Machine:
             count += 1
             pc_index = next_index
 
+        if replay and block_log:
+            flush_log(block_log, sb_emitters)
         executed = count - self.instruction_count
+        self.halted = halted
         self.instruction_count = count
         self._pc_index = pc_index
         self._superblock_builds += sb_builds
@@ -611,6 +645,9 @@ class Machine:
             )
             if sb_builds:
                 profiler.count("superblock_builds", sb_builds)
+                profiler.count(
+                    "superblock_build_us", round(sb_build_seconds * 1e6)
+                )
             if sb_replays:
                 profiler.count("superblock_replays", sb_replays)
                 profiler.count(
@@ -618,7 +655,8 @@ class Machine:
                 )
         return executed
 
-    def _index_of(self, address: int) -> int:
+    @staticmethod
+    def _index_of(address: int) -> int:
         if address % 4 != 0 or address < TEXT_BASE:
             raise EmulatorError(f"bad jump target 0x{address:x}")
         return (address - TEXT_BASE) // 4

@@ -1,49 +1,63 @@
-"""Superblock replay engine: batch-decoded micro-op templates.
+"""Superblock replay engine: compiled basic blocks, branch included.
 
-The emulator's emit loop is the last record-at-a-time walk on the
-produce side of the pipeline: even with the packed columnar fast path,
-``Machine.run`` pays per retired instruction for a bounds check, a
-9-tuple unpack, an integer dispatch and fourteen column ``append``
-calls.  Straight-line code makes almost all of that work redundant —
-between two control transfers the instruction sequence, and therefore
-twelve of the fourteen column values, are a pure function of the entry
-``pc_index``.
+The emulator's step path pays per retired instruction for a bounds
+check, a 9-tuple unpack, an integer dispatch and fourteen column
+``append`` calls.  Between two control transfers the instruction
+sequence, and therefore twelve of the fourteen column values, are a
+pure function of the entry ``pc_index``; only the effective addresses,
+``$sp``, and where the block's branch goes depend on machine state.
 
 This module gives the *simulator* the same trace-cache-style
-microarchitecture the paper gives the stack: at the first execution of
-a basic-block head, the decoded tuples of the straight-line region are
-compiled once into a replayable micro-op *template*; every subsequent
-visit replays the template:
+microarchitecture the paper gives the stack.  A *region* is the
+straight-line run of ALU/load/store/lda/print/nop ops starting at a
+``pc_index`` plus the control transfer that ends it (``beq``…``bge``,
+``br``, ``bsr``, ``jsr``, ``ret``/``jmp``; ``halt`` is left to the
+step path).  The first time ``Machine.run`` lands on a region head
+and the whole region fits in the window, it compiles the region into
+a *template*: a straight-line Python function generated once with
+``exec`` that
 
-* the static columns (``pc``, ``opcode``, ``flags``, ``size``,
-  ``base``, ``dst``, ``nsrc``, ``src0``, ``src1``, ``disp``,
-  ``spimm``, ``next_pc`` — and ``sp``/``addr`` when the block touches
-  neither) are emitted as whole column *slices* via one batched
-  ``frombytes``/``extend`` per column instead of one ``append`` per
-  instruction;
-* the dynamic work (register updates, loads, stores, effective
-  addresses) runs as a straight-line Python function compiled from the
-  block once with ``exec`` — no per-instruction dispatch, no bounds
-  check, no tuple unpack;
-* a single exit check hands control back to the step-decode
-  interpreter at the terminating branch/call/return.
+* runs every op with inlined ALU expressions and aligned loads and
+  stores against the memory's word dict (no dispatch, no bounds check,
+  no tuple unpack);
+* evaluates the terminator itself (branch predicate, ``$ra`` write,
+  indirect-target check, the halt sentinel) and returns the *exit*
+  taken: ``(next_index, static column blobs, halts)``;
+* appends its ``addr`` and ``sp`` column slices with one ``extend``
+  each, zeros written as literals.
+
+The twelve static columns of an exit (``pc``, ``opcode``, ``flags``,
+``size``, ``base``, ``dst``, ``nsrc``, ``src0``, ``src1``, ``disp``,
+``spimm``, ``next_pc``) are pre-packed byte blobs; ``flags`` and
+``next_pc`` differ per exit (taken and not-taken differ in
+``FLAG_TAKEN`` even when a branch targets its own fall-through), so
+each exit's blobs are built lazily the first time it is taken.  The
+caller logs each replay's blobs and joins the log into the columns in
+chunks (:func:`flush_log`), so a replay costs one list append for the
+static columns.
+
+``Machine`` computes every pc's region length once
+(:func:`region_lengths`) and never builds a template the window
+cannot replay: near the end of a window it steps instead, and the
+head stays unexamined so a later, longer window can build it.
 
 Templates are keyed on ``pc_index`` and **never invalidated**: the
 text segment is immutable for the lifetime of a :class:`Machine`
 (programs are assembled up front; there is no store-to-text path), so
-a compiled template can never go stale.  Hit/miss/replayed counters
-are surfaced through :mod:`repro.profiling` by ``Machine.run``.
+a compiled template can never go stale.  Build/replay counters and
+the build time (``superblock_build_us``) are surfaced through
+:mod:`repro.profiling` by ``Machine.run``.
 
-Replay is bit-identical to step-decode by construction — the same
-handler functions run in the same order against the same state, and
-the emitted column slices carry the values the step path would have
-appended — and is gated differentially by
-``tests/test_emulator_superblock.py`` (all registry workloads plus
-hypothesis-fuzzed programs, windows, and fault paths).  Faults keep
-the step path's semantics: when an op raises (division by zero, a bad
-effective address), the template emits the columns of the ops that
-retired before it and re-raises, leaving registers and memory exactly
-as the interpreter would have.
+Replay is bit-identical to step-decode and is gated differentially by
+``tests/test_emulator_superblock.py`` (all registry workloads,
+hypothesis-fuzzed programs, window stops at every position of a
+region, and fault paths).  Faults keep the step path's semantics:
+when an op raises (division by zero, a bad effective address, a bad
+indirect target), the ops before it have retired, registers and
+memory are exactly as the interpreter would leave them, and
+:meth:`SuperblockTemplate.emit_retired` appends the retired ops'
+columns from the generated function's locals before the error
+propagates.
 
 ``set_superblock_enabled`` toggles the engine at runtime (the
 differential gate and the benchmarks compare both paths in one
@@ -54,18 +68,12 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import List, Optional
+from functools import partial
+from typing import List
 
-from repro.emulator.memory import MemoryError_
-from repro.trace import columnar as _columnar
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import FLAG_TAKEN
 
 _MASK64 = (1 << 64) - 1
-
-#: Blocks shorter than this are not worth a template: the fixed
-#: replay cost (one call plus fourteen batched column extends) only
-#: amortizes over a few instructions.
-MIN_BLOCK_LENGTH = 3
 
 #: Runtime switch (see :func:`set_superblock_enabled`).  The
 #: ``REPRO_SUPERBLOCK=0`` environment variable starts the process with
@@ -95,18 +103,25 @@ def set_superblock_enabled(enabled: bool) -> bool:
 
 
 # Structural kinds, mirrored from repro.emulator.machine (kept as
-# literals here to avoid a circular import; machine.py asserts the
-# correspondence at import time via build_template's contract).
+# literals here to avoid a circular import).
 _K_ALU = 0
 _K_LOAD = 1
 _K_LDA = 2
 _K_STORE = 3
+_K_CBR = 4
+_K_BR = 5
+_K_BSR = 6
+_K_JSR = 7
+_K_JMP = 8
 _K_PRINT = 9
 _K_NOP = 11
 
-#: Kinds a template may contain (everything else terminates the block).
+#: Kinds a region's body may contain.
 _STRAIGHT_KINDS = frozenset((_K_ALU, _K_LOAD, _K_LDA, _K_STORE,
                              _K_PRINT, _K_NOP))
+
+#: Control transfers a template runs itself (``halt`` is not one).
+_TERMINATOR_KINDS = frozenset((_K_CBR, _K_BR, _K_BSR, _K_JSR, _K_JMP))
 
 #: ALU handlers that are safe to inline as expressions.  Handlers that
 #: need sign conversion or can raise stay as calls so error and
@@ -125,320 +140,329 @@ _INLINE_ALU = {
     "cmpult": "1 if {a} < {b} else 0",
 }
 
-#: Ops that can raise at runtime (division, memory faults).  A block
-#: containing one carries a progress counter so a mid-block fault can
-#: emit exactly the records that retired before it.
+#: ALU ops that can raise at runtime (division by zero).
 _FAULTING_ALU = frozenset(("divq", "remq"))
+
+#: Conditional-branch predicates over an *unsigned* 64-bit register
+#: value (registers always hold values in ``[0, 2**64)``), equivalent
+#: to the step path's predicates over the sign-converted value.
+_BRANCH_TESTS = {
+    "beq": "{v} == 0",
+    "bne": "{v} != 0",
+    "blt": "{v} >= S",
+    "bge": "{v} < S",
+    "ble": "not 0 < {v} < S",
+    "bgt": "0 < {v} < S",
+}
 
 _ZERO = 31
 _SP = 30
+_RA = 26
+
+
+def region_lengths(decoded) -> List[int]:
+    """Template length at every ``pc_index`` of a decoded program.
+
+    The length counts the straight-line body and the fused terminator;
+    zero marks a ``halt``, where no template is built.  Every other
+    region gets one, however short: a one-op region replays a little
+    slower than it steps, but stepping it would also flush the block
+    log, and on full runs a floor of 2 or 3 ops was no faster.
+    """
+    lengths = [0] * (len(decoded) + 1)
+    for index in range(len(decoded) - 1, -1, -1):
+        kind = decoded[index][0]
+        if kind in _STRAIGHT_KINDS:
+            lengths[index] = lengths[index + 1] + 1
+        elif kind in _TERMINATOR_KINDS:
+            lengths[index] = 1
+    del lengths[-1]
+    return lengths
+
+
+def flush_log(log: list, emitters) -> None:
+    """Join the logged replays' static blobs into the columns.
+
+    ``log`` holds one 12-tuple of column blobs per replay, in
+    retirement order; ``emitters`` are the matching column appenders.
+    """
+    for emit, parts in zip(emitters, zip(*log)):
+        emit(b"".join(parts))
+    log.clear()
+
+
+class _Exits(dict):
+    """Exit key -> ``(next_index, column blobs, halts)``, built lazily."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        entry = self[key] = self._build(key)
+        return entry
+
+
+def _exit_entry(start_index, length, static, fused, text_base, key):
+    """Build the ``(next_index, blobs, halts)`` entry of one exit.
+
+    ``static`` holds the column blobs of every op; the terminator's
+    flags there carry no FLAG_TAKEN and its next_pc is a placeholder.
+    ``fused`` is the terminator's ``(kind, target_index)``, or None
+    when the region ends at a ``halt`` or at the end of the text.
+    """
+    end = start_index + length
+    if fused is None:
+        return end, static, False
+    kind, target = fused
+    halts = False
+    if kind == _K_CBR:
+        taken = key == 1
+        next_index = target if taken else end
+    elif kind == _K_BR or kind == _K_BSR:
+        taken = True
+        next_index = target
+    elif key == -1:  # ret/jmp to the halt sentinel
+        taken = halts = True
+        next_index = end - 1
+    else:  # jsr/ret/jmp: the key is the target index
+        taken = True
+        next_index = key
+    blobs = list(static)
+    if taken:
+        flags = bytearray(blobs[2])
+        flags[-1] |= FLAG_TAKEN
+        blobs[2] = bytes(flags)
+    blobs[11] = blobs[11][:-8] + array(
+        "Q", (text_base + 4 * next_index,)
+    ).tobytes()
+    return next_index, tuple(blobs), halts
 
 
 class SuperblockTemplate:
-    """One compiled straight-line region.
+    """One compiled region: its straight-line body and terminator.
 
-    ``replay`` executes the block body against live machine state and
-    emits one column slice per column; the caller advances
-    ``pc_index`` to :attr:`end_index` (the terminator, handled by the
-    step-decode interpreter) and ``count`` by :attr:`length`.
+    :attr:`run` is the generated function.  Called as
+    ``run(registers, words, load, load_signed, store, output_append,
+    addr_extend, sp_extend)``, it executes the region, appends its
+    ``addr``/``sp`` slices, and returns the exit taken.  Exit keys are
+    ``0``/``1`` for fall-through/taken, the target ``pc_index`` of an
+    indirect jump, or ``-1`` for a ``ret`` to the halt sentinel.
+
+    Nothing the generated function reaches refers back to the template
+    or the machine, so a dropped ``Machine`` is freed at once rather
+    than by the cycle collector.
     """
 
     __slots__ = (
         "start_index",
-        "end_index",
         "length",
-        "mem_positions",
-        "tracks_sp",
-        "can_fault",
-        "progress",
-        "_fn",
+        "run",
+        "_code",
         "_static",
-        "_addr_zero",
-        "_sp_stride",
+        "_sp_names",
     )
 
-    def __init__(self, start_index, end_index, fn, static_blobs,
-                 mem_positions, tracks_sp, can_fault):
+    def __init__(self, start_index, length, run, static_blobs, sp_names):
         self.start_index = start_index
-        self.end_index = end_index
-        self.length = end_index - start_index
-        self._fn = fn
-        #: (pc, opcode, flags, size, base, dst, nsrc, src0, src1,
-        #:  disp, spimm, next_pc) byte blobs, one slice per column.
+        self.length = length
+        self.run = run
+        #: Code of the generated function (finds its frame on a fault).
+        self._code = run.__code__
         self._static = static_blobs
-        self.mem_positions = mem_positions
-        self.tracks_sp = tracks_sp
-        self.can_fault = can_fault
-        #: Shared progress cell: ops fully retired by the current call.
-        self.progress = [0]
-        self._addr_zero = bytes(8 * self.length)
-        #: Per-op widths of the 8-byte columns, for partial emit.
-        self._sp_stride = 8
+        #: Per op, the local holding ``$sp`` after it retired.
+        self._sp_names = sp_names
 
-    # ---------------------------------------------------------- replay
-    def replay(self, registers, words, mem_load, mem_load_signed,
-               mem_store, output_append, columns: ColumnarTrace,
-               emitters):
-        """Execute the block once and emit its column slices.
+    def emit_retired(self, columns, error: BaseException) -> None:
+        """Append the columns of the ops retired before ``error``.
 
-        ``words`` is the machine's backing word dict (aligned accesses
-        are inlined against it; the ``Memory`` methods are the fault
-        fallback).  ``emitters`` is the caller's prebound 12-tuple of
-        batch column appenders (``columns.pc.frombytes`` ...
-        ``next_pc.frombytes``, bound once per ``Machine.run`` call)
-        for the static columns.  On a fault mid-block, emits the
-        columns of the ops that retired before the faulting one and
-        re-raises — registers and memory are left exactly as
-        step-decode would leave them.
+        Reads the generated function's locals from the traceback of
+        the fault it raised.  Effective addresses live in locals
+        ``a<k>`` (bound before op ``k`` touches memory), and ``p`` is
+        stored just before a division or indirect jump, so the
+        faulting op is the highest position the frame has reached.
         """
-        if self.tracks_sp:
-            sps: Optional[List[int]] = []
-            sp_append = sps.append
-        else:
-            sps = None
-            sp_append = None
-        if self.can_fault:
-            addrs: List[int] = []
-            progress = self.progress
-            progress[0] = 0
-            try:
-                self._fn(
-                    registers, words, mem_load, mem_load_signed,
-                    mem_store, output_append, addrs.append, sp_append,
-                    progress,
-                )
-            except MemoryError_:
-                # The faulting op is the first memory op whose address
-                # was never collected; every op before it retired.
-                self._emit_partial(
-                    columns, registers, addrs, sps,
-                    self.mem_positions[len(addrs)], emitters,
-                )
-                raise
-            except Exception:
-                # Division fault: the body updates the progress cell
-                # immediately before each divq/remq.
-                self._emit_partial(
-                    columns, registers, addrs, sps, progress[0], emitters
-                )
-                raise
-        else:
-            # Fault-free blocks have no loads/stores: no effective
-            # addresses to collect, no progress to track.
-            addrs = None
-            self._fn(
-                registers, None, None, None, None,
-                output_append, None, sp_append, None,
-            )
-
-        (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, np_b) = self._static
-        (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_np) = emitters
-        e_pc(pc_b)
-        e_op(op_b)
-        e_fl(fl_b)
-        e_sz(sz_b)
-        e_ba(ba_b)
-        e_ds(ds_b)
-        e_ns(ns_b)
-        e_s0(s0_b)
-        e_s1(s1_b)
-        e_di(di_b)
-        e_si(si_b)
-        e_np(np_b)
-
-        # addr: zeros except at the block's memory ops, scattered from
-        # the addresses the body collected (in op order).  The numpy
-        # buffer path builds the slice vectorized when enabled; the
-        # scatter loop over mem ops is the pure-python reference.
-        n = self.length
-        col_addr = columns.addr
-        if not addrs:
-            col_addr.frombytes(self._addr_zero)
-        elif (
-            _columnar._np is not None
-            and _columnar._NUMPY_ENABLED
-            and len(addrs) > 16
-        ):
-            np = _columnar._np
-            buf = np.zeros(n, dtype="<u8")
-            buf[self.mem_positions] = np.array(addrs, dtype="<u8")
-            col_addr.frombytes(buf.tobytes())
-        else:
-            base_len = len(col_addr)
-            col_addr.frombytes(self._addr_zero)
-            for position, addr in zip(self.mem_positions, addrs):
-                col_addr[base_len + position] = addr
-
-        # sp: constant across a block with no $sp write (one repeated
-        # fill), else the per-op values the body collected.
-        if sps is None:
-            columns.sp.frombytes(
-                registers[_SP].to_bytes(8, "little") * n
-            )
-        else:
-            columns.sp.extend(sps)
-
-    def _emit_partial(self, columns, registers, addrs, sps, done,
-                      emitters):
-        """Append the first ``done`` ops' column values (fault path)."""
+        tb = error.__traceback__
+        while tb.tb_frame.f_code is not self._code:
+            tb = tb.tb_next
+        frame = tb.tb_frame.f_locals
+        done = frame.get("p", 0)
+        for name in frame:
+            if name[0] == "a" and name[1:].isdigit():
+                done = max(done, int(name[1:]))
         if done == 0:
             return
         (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
          di_b, si_b, np_b) = self._static
-        (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_np) = emitters
-        e_pc(pc_b[: 8 * done])
-        e_op(op_b[:done])
-        e_fl(fl_b[:done])
-        e_sz(sz_b[:done])
-        e_ba(ba_b[:done])
-        e_ds(ds_b[:done])
-        e_ns(ns_b[:done])
-        e_s0(s0_b[:done])
-        e_s1(s1_b[:done])
-        e_di(di_b[: 8 * done])
-        e_si(si_b[: 8 * done])
-        e_np(np_b[: 8 * done])
-        col_addr = columns.addr
-        base_len = len(col_addr)
-        col_addr.frombytes(self._addr_zero[: 8 * done])
-        for position, addr in zip(self.mem_positions, addrs):
-            if position >= done:
-                break
-            col_addr[base_len + position] = addr
-        if sps is None:
-            columns.sp.frombytes(
-                registers[_SP].to_bytes(8, "little") * done
-            )
-        else:
-            columns.sp.extend(sps[:done])
+        wide = 8 * done
+        columns.pc.frombytes(pc_b[:wide])
+        columns.opcode.extend(op_b[:done])
+        columns.flags.extend(fl_b[:done])
+        columns.size.extend(sz_b[:done])
+        columns.base.frombytes(ba_b[:done])
+        columns.dst.frombytes(ds_b[:done])
+        columns.nsrc.extend(ns_b[:done])
+        columns.src0.extend(s0_b[:done])
+        columns.src1.extend(s1_b[:done])
+        columns.disp.frombytes(di_b[:wide])
+        columns.spimm.frombytes(si_b[:wide])
+        columns.next_pc.frombytes(np_b[:wide])
+        columns.addr.extend(frame.get(f"a{k}", 0) for k in range(done))
+        columns.sp.extend(frame[name] for name in self._sp_names[:done])
 
 
-def build_template(decoded, emit_cols, start_index,
-                   text_base) -> Optional[SuperblockTemplate]:
-    """Compile the straight-line region at ``start_index``, or None.
+def build_template(decoded, emit_cols, start_index, length, text_base,
+                   halt_address, index_of) -> SuperblockTemplate:
+    """Compile the ``length``-op region at ``start_index``.
 
     ``decoded``/``emit_cols`` are ``Machine``'s per-instruction
-    execution tuples and static column tuples (the ALU handler rides
-    in the decoded tuple itself).  Returns None when the region is
-    shorter than :data:`MIN_BLOCK_LENGTH` (the caller caches the None
-    so the lookup never repeats the walk).
+    execution tuples and static column tuples (the ALU handler and
+    branch predicate ride in the decoded tuple); ``length`` comes from
+    :func:`region_lengths`.  ``index_of`` is the machine's
+    jump-target check, called only to raise on a bad indirect target.
     """
-    limit = len(decoded)
-    index = start_index
-    ops = []
-    while index < limit:
-        entry = decoded[index]
-        if entry[0] not in _STRAIGHT_KINDS:
-            break
-        ops.append(entry)
-        index += 1
-    length = index - start_index
-    if length < MIN_BLOCK_LENGTH:
-        return None
-
-    tracks_sp = any(
-        op[0] in (_K_ALU, _K_LOAD, _K_LDA) and op[2] == _SP for op in ops
-    )
-    can_fault = False
-    mem_positions = []
+    ops = decoded[start_index:start_index + length]
+    terminator = None
+    if ops[-1][0] in _TERMINATOR_KINDS:
+        terminator = ops.pop()
+    body_length = len(ops)
 
     # ---------------------------------------------------------- body
     # R=registers W=memory word dict ml/mls/ms=Memory methods (fault
-    # fallback) oa=output.append A=addrs.append S=sps.append (None for
-    # blocks with no $sp write) P=progress cell.  Aligned memory
-    # accesses are inlined against W with the exact semantics of
-    # Memory.load/load_signed/store; the method call survives only on
-    # the fault path (misalignment), so error type and message are the
-    # step path's.  Before each divq/remq the body records how many
-    # ops retired so far (``P[0] = position``); memory-fault progress
-    # is recovered from ``len(addrs)`` instead (no per-op bookkeeping).
-    lines = ["def _replay(R, W, ml, mls, ms, oa, A, S, P):"]
-    body_start = len(lines)
-    namespace = {"M": _MASK64}
+    # fallback) oa=output.append AX/SX=addr/sp column extends.
+    # Aligned memory accesses are inlined against W with the exact
+    # semantics of Memory.load/load_signed/store; the method call
+    # survives only on the fault path (misalignment), so error type
+    # and message are the step path's.  Effective addresses land in
+    # locals a<k>; $sp after each $sp write in s<k> (s = on entry).
+    namespace = {"M": _MASK64, "S": 1 << 63}
+    lines = ["def _block(R, W, ml, mls, ms, oa, AX, SX):", "    s = R[30]"]
+    if any(op[0] in (_K_LOAD, _K_STORE) for op in ops):
+        lines.append("    WG = W.get")
+    code = []
+    addr_names = []
+    sp_names = []
+    sp_now = "s"
     for position, op in enumerate(ops):
         kind, fn, rd, ra, rb, imm, rimm, _target, mem_size = op
+        addr_names.append("0")
         if kind == _K_ALU:
-            if rimm is not None:
-                right = repr(rimm)
-            else:
-                right = f"R[{rb}]"
-            name = getattr(fn, "__name__", "")[5:]  # _alu_<name>
-            inline = _INLINE_ALU.get(name)
+            name = fn.__name__[5:]  # _alu_<name>
+            left = _reg(ra)
+            right = repr(rimm) if rimm is not None else _reg(rb)
             if name in _FAULTING_ALU:
-                can_fault = True
-                lines.append(f"    P[0] = {position}")
-            if inline is not None:
-                expr = inline.format(a=f"R[{ra}]", b=right)
-                if rd != _ZERO:
-                    lines.append(f"    R[{rd}] = {expr}")
-                # Pure expression, dead destination: nothing to do.
+                # Division by zero must raise, even into $zero.
+                namespace[f"H{position}"] = fn
+                call = f"H{position}({left}, {right})"
+                code.append(f"p = {position}")
+                code.append(f"R[{rd}] = {call}" if rd != _ZERO else call)
+            elif rd == _ZERO:
+                pass  # pure op, dead destination
+            elif left == "0" and not right.startswith("R"):
+                # Constant operands: fold the pure handler now.
+                code.append(f"R[{rd}] = {fn(0, int(right))}")
+            elif name in _INLINE_ALU:
+                expr = _INLINE_ALU[name].format(a=left, b=right)
+                code.append(f"R[{rd}] = {expr}")
             else:
-                handler = f"H{position}"
-                namespace[handler] = fn
-                if rd != _ZERO:
-                    lines.append(f"    R[{rd}] = {handler}(R[{ra}], {right})")
-                elif name in _FAULTING_ALU:
-                    # Division by zero must still raise.
-                    lines.append(f"    {handler}(R[{ra}], {right})")
+                namespace[f"H{position}"] = fn
+                code.append(f"R[{rd}] = H{position}({left}, {right})")
         elif kind == _K_LOAD:
-            can_fault = True
-            mem_positions.append(position)
-            lines.append(f"    a = (R[{rb}] + {imm}) & M")
+            a = addr_names[-1] = f"a{position}"
+            code.append(f"{a} = {_address(rb, imm)}")
             if mem_size == 8:
-                load = "WG(a, 0) if not a & 7 else ml(a, 8)"
+                load = f"WG({a}, 0) if not {a} & 7 else ml({a}, 8)"
                 if rd != _ZERO:
-                    lines.append(f"    R[{rd}] = {load}")
+                    code.append(f"R[{rd}] = {load}")
                 else:
-                    lines.append(f"    ({load})")
+                    code.append(f"({load})")
             else:
-                lines.append(
-                    "    v = ((WG(a & -8, 0) >> ((a & 4) << 3))"
-                    " & 0xFFFFFFFF) if not a & 3 else mls(a, 4)"
+                code.append(
+                    f"v = ((WG({a} & -8, 0) >> (({a} & 4) << 3))"
+                    f" & 0xFFFFFFFF) if not {a} & 3 else mls({a}, 4)"
                 )
                 if rd != _ZERO:
-                    lines.append(
-                        f"    R[{rd}] = (v - 0x100000000) & M"
+                    code.append(
+                        f"R[{rd}] = (v - 0x100000000) & M"
                         " if v & 0x80000000 else v"
                     )
-            lines.append("    A(a)")
         elif kind == _K_LDA:
             if rd != _ZERO:
-                lines.append(f"    R[{rd}] = (R[{rb}] + {imm}) & M")
+                code.append(f"R[{rd}] = {_address(rb, imm)}")
         elif kind == _K_STORE:
-            can_fault = True
-            mem_positions.append(position)
-            lines.append(f"    a = (R[{rb}] + {imm}) & M")
+            a = addr_names[-1] = f"a{position}"
+            value = _reg(rd)
+            code.append(f"{a} = {_address(rb, imm)}")
             if mem_size == 8:
-                lines.append("    if a & 7:")
-                lines.append(f"        ms(a, R[{rd}], 8)")
-                lines.append("    else:")
-                lines.append(f"        W[a] = R[{rd}] & M")
-            else:
-                lines.append("    if a & 3:")
-                lines.append(f"        ms(a, R[{rd}], 4)")
-                lines.append("    else:")
-                lines.append("        b = a & -8")
-                lines.append("        s = (a & 4) << 3")
-                lines.append(
-                    "        W[b] = (WG(b, 0) & ~(0xFFFFFFFF << s))"
-                    f" | ((R[{rd}] & 0xFFFFFFFF) << s)"
+                # A misaligned store raises inside ms before W changes.
+                code.append(
+                    f"W[{a}] = {value} & M if not {a} & 7"
+                    f" else ms({a}, {value}, 8)"
                 )
-            lines.append("    A(a)")
+            else:
+                code += [
+                    f"if {a} & 3:",
+                    f"    ms({a}, {value}, 4)",
+                    "else:",
+                    f"    b = {a} & -8",
+                    f"    t = ({a} & 4) << 3",
+                    "    W[b] = (WG(b, 0) & ~(0xFFFFFFFF << t))"
+                    f" | (({value} & 0xFFFFFFFF) << t)",
+                ]
         elif kind == _K_PRINT:
             namespace.setdefault("SG", _signed)
-            lines.append(f"    oa(SG(R[{ra}]))")
+            code.append(f"oa(SG({_reg(ra)}))")
         # _K_NOP: retires a record but computes nothing.
-        if tracks_sp:
-            lines.append(f"    S(R[{_SP}])")
-    if mem_positions:
-        lines.insert(body_start, "    WG = W.get")
-    if len(lines) == 1:
-        lines.append("    pass")
-    exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
-    fn = namespace["_replay"]
+        if kind in (_K_ALU, _K_LOAD, _K_LDA) and rd == _SP:
+            sp_now = f"s{position}"
+            code.append(f"{sp_now} = R[30]")
+        sp_names.append(sp_now)
+
+    # ---------------------------------------------------- terminator
+    exit_expr = "0"
+    fused = None  # (kind, target_index) of the terminator, for the exits
+    if terminator is not None:
+        kind, fn, _rd, ra, rb, _imm, _rimm, target, _size = terminator
+        position = body_length
+        addr_names.append("0")
+        sp_names.append(sp_now)
+        return_address = text_base + 4 * (start_index + position + 1)
+        if kind == _K_CBR:
+            test = _BRANCH_TESTS[fn.__name__[6:]]  # _cond_<name>
+            exit_expr = "1 if " + test.format(v=_reg(ra)) + " else 0"
+        elif kind == _K_BR:
+            exit_expr = "1"
+        elif kind == _K_BSR:
+            code.append(f"R[{_RA}] = {return_address}")
+            exit_expr = "1"
+        else:
+            namespace["IX"] = index_of
+            code.append(f"d = {_reg(rb)}")
+            check = f"d & 3 or d < {text_base}"
+            if kind == _K_JSR:
+                code.append(f"R[{_RA}] = {return_address}")
+                exit_expr = f"(d - {text_base}) >> 2"
+            else:  # ret/jmp: the sentinel address halts the machine
+                check = f"d != {halt_address} and ({check})"
+                exit_expr = (
+                    f"-1 if d == {halt_address} else (d - {text_base}) >> 2"
+                )
+            code += [f"if {check}:", f"    p = {position}", "    IX(d)"]
+        fused = (kind, target)
+
+    lines += ["    " + line for line in code]
+    if any(name != "0" for name in addr_names):
+        lines.append(f"    AX(({', '.join(addr_names)},))")
+    else:
+        namespace["Z"] = array("Q", bytes(8 * length))
+        lines.append("    AX(Z)")
+    if sp_now == "s":
+        lines.append(f"    SX((s,) * {length})")
+    else:
+        lines.append(f"    SX(({', '.join(sp_names)},))")
+    lines.append(f"    return X[{exit_expr}]")
 
     # ------------------------------------------------- static columns
     pcs = array("Q")
@@ -453,9 +477,9 @@ def build_template(decoded, emit_cols, start_index,
     disps = array("q")
     spimms = array("q")
     next_pcs = array("Q")
-    for offset in range(length):
+    for index in range(start_index, start_index + length):
         (pc, opnum, flag, size, base, dst, nsrc, src0, src1, disp,
-         spimm) = emit_cols[start_index + offset]
+         spimm) = emit_cols[index]
         pcs.append(pc)
         opcodes.append(opnum)
         flags.append(flag)
@@ -467,7 +491,7 @@ def build_template(decoded, emit_cols, start_index,
         src1s.append(src1)
         disps.append(disp)
         spimms.append(spimm)
-        next_pcs.append(text_base + 4 * (start_index + offset + 1))
+        next_pcs.append(text_base + 4 * (index + 1))
     static_blobs = (
         pcs.tobytes(),
         bytes(opcodes),
@@ -482,15 +506,25 @@ def build_template(decoded, emit_cols, start_index,
         spimms.tobytes(),
         next_pcs.tobytes(),
     )
+    namespace["X"] = _Exits(partial(
+        _exit_entry, start_index, length, static_blobs, fused, text_base
+    ))
+    exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
     return SuperblockTemplate(
-        start_index,
-        index,
-        fn,
-        static_blobs,
-        mem_positions,
-        tracks_sp,
-        can_fault,
+        start_index, length, namespace["_block"], static_blobs, sp_names
     )
+
+
+def _reg(register: int) -> str:
+    """Source expression of a register read (``$zero`` reads as 0)."""
+    return "0" if register == _ZERO else f"R[{register}]"
+
+
+def _address(base: int, displacement: int) -> str:
+    """Expression for ``base + displacement``, folded off ``$zero``."""
+    if base == _ZERO:
+        return str(displacement & _MASK64)
+    return f"(R[{base}] + {displacement}) & M"
 
 
 def _signed(value: int) -> int:
@@ -498,9 +532,10 @@ def _signed(value: int) -> int:
 
 
 __all__ = [
-    "MIN_BLOCK_LENGTH",
     "SuperblockTemplate",
     "build_template",
+    "flush_log",
+    "region_lengths",
     "set_superblock_enabled",
     "superblock_enabled",
 ]

@@ -263,7 +263,8 @@ class TestProfile:
         assert main(["profile", "gzip", "--max-instructions", "4000"]) == 0
         out = capsys.readouterr().out
         assert "cache counters:" in out
-        for counter in ("superblock_builds", "superblock_replays",
+        for counter in ("superblock_builds", "superblock_build_us",
+                        "superblock_replays",
                         "superblock_replayed_instructions"):
             assert counter in out, counter
 

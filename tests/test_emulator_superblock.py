@@ -10,20 +10,21 @@ The gate runs both paths in one process via
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.emulator import Machine
+from repro.emulator import Machine, superblock
 from repro.emulator.machine import EmulatorError
-from repro.emulator.memory import MemoryError_
+from repro.emulator.memory import TEXT_BASE, MemoryError_
 from repro.emulator.superblock import (
-    MIN_BLOCK_LENGTH,
     set_superblock_enabled,
     superblock_enabled,
 )
 from repro.isa import assemble
+from repro.isa.encoding import OPCODE_NUMBERS
 from repro.profiling import profiled
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads import registry
@@ -64,7 +65,30 @@ def _assert_identical(source_or_workload, max_instructions=None):
     assert sb_machine.output == ref_machine.output
     assert sb_machine.instruction_count == ref_machine.instruction_count
     assert sb_machine.memory._words == ref_machine.memory._words
+    assert sb_machine.halted == ref_machine.halted
+    assert sb_machine.pc == ref_machine.pc
     return ref_trace
+
+
+def _link(source):
+    """Fill ``{label}`` fields with the label's text address."""
+    labels = assemble(source.format_map(defaultdict(int))).labels
+    return source.format_map(
+        {label: TEXT_BASE + 4 * index for label, index in labels.items()}
+    )
+
+
+def _split_run(program, stops):
+    """One machine run in windows ending at ``stops``, then to the end."""
+    machine = Machine(program)
+    trace = ColumnarTrace()
+    for stop in stops:
+        machine.run(
+            max_instructions=stop - machine.instruction_count,
+            trace_sink=trace,
+        )
+    machine.run(trace_sink=trace)
+    return trace, machine
 
 
 class TestWorkloadIdentity:
@@ -77,9 +101,75 @@ class TestWorkloadIdentity:
         # straight-line region: the engine must fall back to
         # step-decode rather than overshoot the window.
         work = registry.workload("164.gzip")
-        for window in range(3_000, 3_000 + 2 * MIN_BLOCK_LENGTH + 3):
+        for window in range(3_000, 3_005):
             trace = _assert_identical(work, window)
             assert len(trace) == window
+
+    def test_window_stops_at_every_position_of_a_long_region(self):
+        # crafty's longest region (137 ops, a fused branch at its
+        # end): stop the window at every position inside it, at its
+        # terminator and just past it.
+        work = registry.workload("186.crafty")
+        machine = Machine(work.program())
+        lengths = machine._region_len
+        head = max(range(len(lengths)), key=lengths.__getitem__)
+        length = lengths[head]
+        assert length > 100
+        reference, _, _ = _trace_with(work, False, 12_000)
+        start = list(reference.pc).index(TEXT_BASE + 4 * head)
+        for stop in range(start, start + length + 2):
+            trace = _assert_identical(work, stop)
+            assert len(trace) == stop
+
+    def test_resumed_windows_match_one_run(self):
+        # A window that ends inside a region leaves its head unbuilt;
+        # the next window resumes mid-region and must still match
+        # step-decode, however the run is split.
+        program = registry.workload("164.gzip").program()
+        previous = set_superblock_enabled(False)
+        try:
+            reference, ref_machine = _split_run(program, ())
+        finally:
+            set_superblock_enabled(previous)
+        for stops in ((1,), (7, 8, 500), (2_999, 3_000, 3_013)):
+            trace, machine = _split_run(program, stops)
+            assert trace == reference
+            assert machine.registers == ref_machine.registers
+            assert machine.output == ref_machine.output
+
+    @pytest.mark.parametrize("window", [40_000, 80_000])
+    @pytest.mark.parametrize("name", registry.ALL_BENCHMARKS)
+    def test_every_built_template_is_replayed(
+        self, monkeypatch, name, window
+    ):
+        # Builds are window-aware: a template is compiled only when
+        # the whole region fits in the window, so none is wasted on
+        # a window tail it can never replay.
+        replays = []
+        build = superblock.build_template
+
+        def counted_build(*args):
+            template = build(*args)
+            calls = [0]
+            run_block = template.run
+
+            def counted_run(*call_args):
+                calls[0] += 1
+                return run_block(*call_args)
+
+            template.run = counted_run
+            replays.append(calls)
+            return template
+
+        monkeypatch.setattr(superblock, "build_template", counted_build)
+        previous = set_superblock_enabled(True)
+        try:
+            machine = Machine(registry.workload(name).program())
+            machine.run(max_instructions=window, trace_sink=ColumnarTrace())
+        finally:
+            set_superblock_enabled(previous)
+        assert replays
+        assert all(calls[0] > 0 for calls in replays)
 
 
 class TestFaultPaths:
@@ -121,6 +211,160 @@ class TestFaultPaths:
                 halt
             """
         )
+
+
+#: Hand-written programs whose regions end in every fused terminator
+#: and fault after templates are warm (``{label}`` = text address).
+_TERMINATOR_PROGRAMS = {
+    "jsr_misaligned_target": """
+        main:
+            lda sp, -16(sp)
+            lda r1, 3(zero)
+        loop:
+            stq r1, 0(sp)
+            subq r1, 1, r1
+            bne r1, loop
+            lda r2, 4098(zero)
+            jsr r2
+            halt
+        """,
+    "jmp_below_text": """
+        main:
+            lda r1, 3(zero)
+        loop:
+            subq r1, 1, r1
+            print r1
+            bne r1, loop
+            lda r2, 8(zero)
+            jmp r2
+            halt
+        """,
+    "jsr_past_text": """
+        main:
+            lda r1, 2(zero)
+        loop:
+            subq r1, 1, r1
+            bgt r1, loop
+            lda r2, 65536(zero)
+            jsr r2
+            halt
+        """,
+    "calls_then_ret_to_halt": """
+        main:
+            lda sp, -16(sp)
+            stq ra, 0(sp)
+            lda r1, 3(zero)
+            lda r6, {leaf}(zero)
+        loop:
+            bsr leaf
+            jsr r6
+            subq r1, 1, r1
+            lda r7, {next}(zero)
+            jmp r7
+        next:
+            bne r1, loop
+            ldq ra, 0(sp)
+            lda sp, 16(sp)
+            ret
+        leaf:
+            print r1
+            ret
+        """,
+    "conditional_branches": """
+        main:
+            lda r1, -2(zero)
+        loop:
+            blt r1, n1
+            print r1
+        n1:
+            ble r1, n2
+            print r1
+        n2:
+            bgt r1, n3
+            print r1
+        n3:
+            bge r1, n4
+            print r1
+        n4:
+            beq r1, n5
+            print r1
+        n5:
+            bne r1, n6
+            print r1
+        n6:
+            addq r1, 1, r1
+            cmpeq r1, 3, r2
+            beq r2, loop
+            lda r3, 1(zero)
+            sll r3, 63, r3
+            blt r3, m1
+            print r3
+        m1:
+            bge r3, m2
+            print r3
+        m2:
+            bgt r3, m3
+            print r3
+        m3:
+            ble r3, m4
+            print r3
+        m4:
+            halt
+        """,
+    "misaligned_store_after_loop": """
+        main:
+            lda sp, -32(sp)
+            lda r1, 3(zero)
+        loop:
+            stq r1, 8(sp)
+            subq r1, 1, r1
+            bne r1, loop
+            lda r2, 1(sp)
+            stq r1, 0(r2)
+            halt
+        """,
+}
+
+
+class TestTerminators:
+    @pytest.mark.parametrize("name", sorted(_TERMINATOR_PROGRAMS))
+    def test_every_stop_count_matches_step_decode(self, name):
+        source = _link(_TERMINATOR_PROGRAMS[name])
+        for stop in range(1, 40):
+            _assert_identical(source, stop)
+        _assert_identical(source)
+
+    def test_bad_targets_raise_after_the_body_retires(self):
+        # A bad jsr/jmp target retires every op before the jump and
+        # not the jump itself (jsr has already written $ra); an
+        # aligned target past the text retires the jsr and faults on
+        # the next fetch.
+        for name, message, last_op in (
+            ("jsr_misaligned_target", "bad jump target 0x1002", "lda"),
+            ("jmp_below_text", "bad jump target 0x8", "lda"),
+            ("jsr_past_text", "pc out of range", "jsr"),
+        ):
+            source = _link(_TERMINATOR_PROGRAMS[name])
+            trace, machine, error = _trace_with(source, True)
+            assert error[0] is EmulatorError
+            assert message in error[1]
+            assert trace.opcode[-1] == OPCODE_NUMBERS[last_op]
+            if name.startswith("jsr"):
+                jsr_pc = trace.pc[-1] + (4 if last_op == "lda" else 0)
+                assert machine.registers[26] == jsr_pc + 4
+
+    def test_ret_to_halt_sentinel_halts_inside_a_template(self):
+        source = _link(_TERMINATOR_PROGRAMS["calls_then_ret_to_halt"])
+        with profiled() as profiler:
+            trace, machine, error = _trace_with(source, True)
+        assert error is None
+        assert machine.halted
+        assert machine.output == [3, 3, 2, 2, 1, 1]
+        # The final ret retires with next_pc = its own pc, taken.
+        assert trace.next_pc[-1] == trace.pc[-1] == machine.pc
+        assert trace.flags[-1] & 16
+        replayed = profiler.counters["superblock_replayed_instructions"]
+        assert replayed == len(trace)
 
 
 class TestToggleAndCounters:
@@ -172,14 +416,17 @@ class TestToggleAndCounters:
                     max_instructions=8_000, trace_sink=ColumnarTrace()
                 )
             assert profiler.counters["superblock_builds"] > 0
+            # Build time is a counter, not a phase: the emulate phase
+            # still covers it, so phase totals do not move.
+            assert profiler.counters["superblock_build_us"] > 0
+            assert set(profiler.phases) == {"emulate"}
             assert profiler.counters["superblock_replays"] > 0
             replayed = profiler.counters[
                 "superblock_replayed_instructions"
             ]
-            assert replayed >= (
-                MIN_BLOCK_LENGTH
-                * profiler.counters["superblock_replays"]
-            )
+            assert replayed >= profiler.counters["superblock_replays"]
+            # Fused terminators: everything but the window tail replays.
+            assert replayed / 8_000 > 0.99
             # Warm templates: continuing the same machine may build a
             # few templates for newly reached code, but replays must
             # dominate — compiled templates are reused, never rebuilt.
@@ -229,6 +476,42 @@ _straight_op = st.one_of(
 )
 
 
+#: Control transfers that end a fuzzed region.  ``{b}`` is the label
+#: right after it; jsr/jmp go through r6, which the fuzz never writes.
+_TERMINATORS = {
+    "beq": ["beq zero, {b}"],  # taken, to its own fall-through
+    "bne": ["bne r1, {b}"],
+    "blt": ["blt r2, {b}"],
+    "ble": ["ble r3, {b}"],
+    "bgt": ["bgt r4, {b}"],
+    "bge": ["bge r1, {b}"],
+    "br": ["br {b}"],
+    "bsr": ["bsr leaf"],
+    "jsr": ["lda r6, {{leaf}}(zero)", "jsr r6"],
+    "jmp": ["lda r6, {{{b}}}(zero)", "jmp r6"],
+    "ret": ["lda r6, {{{b}}}(zero)", "ret r6"],
+    "jsr_misaligned": ["lda r6, 4098(zero)", "jsr r6"],
+    "jmp_below_text": ["lda r6, 8(zero)", "jmp r6"],
+}
+
+
+def _fuzz_lines(block):
+    lines = []
+    for op in block:
+        if op[0] == "lda":
+            _, rd, imm = op
+            lines.append(f"    lda {rd}, {imm}(zero)")
+        elif op[0] in ("stq", "ldq"):
+            name, rd, slot = op
+            lines.append(f"    {name} {rd}, {8 * slot}(sp)")
+        elif op[0] == "print":
+            lines.append(f"    print {op[1]}")
+        else:
+            name, ra, rb, rd = op
+            lines.append(f"    {name} {ra}, {rb}, {rd}")
+    return lines
+
+
 class TestFuzzIdentity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -251,18 +534,7 @@ class TestFuzzIdentity:
             "loop:",
         ]
         for block_index, block in enumerate(blocks):
-            for op in block:
-                if op[0] == "lda":
-                    _, rd, imm = op
-                    lines.append(f"    lda {rd}, {imm}(zero)")
-                elif op[0] in ("stq", "ldq"):
-                    name, rd, slot = op
-                    lines.append(f"    {name} {rd}, {8 * slot}(sp)")
-                elif op[0] == "print":
-                    lines.append(f"    print {op[1]}")
-                else:
-                    name, ra, rb, rd = op
-                    lines.append(f"    {name} {ra}, {rb}, {rd}")
+            lines += _fuzz_lines(block)
             # A branch terminates the region between fuzzed blocks.
             lines.append(f"    beq zero, b{block_index}")
             lines.append(f"b{block_index}:")
@@ -273,3 +545,55 @@ class TestFuzzIdentity:
             "    halt",
         ]
         _assert_identical("\n".join(lines))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(_straight_op, max_size=8),
+                st.sampled_from(sorted(_TERMINATORS)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(_straight_op, max_size=6),
+        st.integers(1, 3),
+        st.integers(0, 60),
+    )
+    def test_random_terminators_replay_identically(
+        self, blocks, leaf, trips, stop
+    ):
+        # Regions end in every fused control transfer: calls to a
+        # fuzzed leaf by bsr and jsr, indirect jumps and returns to the
+        # next block, bad indirect targets, and main's final ret to
+        # the halt sentinel.  A random stop also lands windows inside
+        # regions and on terminators.
+        lines = [
+            "main:",
+            "    lda sp, -272(sp)",
+            "    stq ra, 264(sp)",
+            f"    lda r5, {trips}(zero)",
+            "loop:",
+        ]
+        for block_index, (block, terminator) in enumerate(blocks):
+            label = f"b{block_index}"
+            lines += _fuzz_lines(block)
+            lines += [
+                "    " + line.format(b=label)
+                for line in _TERMINATORS[terminator]
+            ]
+            lines.append(f"{label}:")
+        lines += [
+            "    subq r5, 1, r5",
+            "    bne r5, loop",
+            "    ldq ra, 264(sp)",
+            "    lda sp, 272(sp)",
+            "    ret",
+            "leaf:",
+        ]
+        lines += _fuzz_lines(leaf)
+        lines.append("    ret")
+        source = _link("\n".join(lines))
+        _assert_identical(source)
+        if stop:
+            _assert_identical(source, stop)

@@ -13,6 +13,7 @@ from time import perf_counter
 import pytest
 
 from repro.core.traffic import simulate_traffic
+from repro.emulator import Machine
 from repro.emulator.superblock import set_superblock_enabled
 from repro.emulator.memory import STACK_BASE
 from repro.profiling import profiled
@@ -22,11 +23,11 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
-from repro.trace.columnar import set_numpy_enabled
+from repro.trace.columnar import ColumnarTrace, set_numpy_enabled
 from repro.trace.first_touch import FirstTouchProfile
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate, simulate_batch
-from repro.workloads import workload
+from repro.workloads import ALL_BENCHMARKS, workload
 
 #: generous wall-clock ceilings (seconds); measured cold ~0.2s total.
 EMULATE_BUDGET = 3.0
@@ -35,6 +36,8 @@ END_TO_END_BUDGET = 10.0
 ANALYSIS_BUDGET = 3.0
 TRAFFIC_BUDGET = 3.0
 WINDOW = 40_000
+#: the report's functional window (ROADMAP item 4's committed window).
+REPORT_WINDOW = 80_000
 
 
 @pytest.mark.perf
@@ -110,6 +113,35 @@ def test_superblock_replay_budget_and_hit_rate():
     assert replayed / WINDOW > 0.5, profiler.render()
     assert profiler.phases["emulate"].seconds < EMULATE_BUDGET, (
         profiler.render()
+    )
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_superblock_replay_beats_step_decode(name):
+    # Superblock replay stays only while it pays: at the report's
+    # 80k functional window, best-of-3 replay (template builds
+    # included) must not be slower than best-of-3 step-decode.  Runs
+    # alternate so a slow spell on the host hits both legs.
+    program = workload(name).program()
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(3):
+        for enabled in best:
+            previous = set_superblock_enabled(enabled)
+            try:
+                machine = Machine(program)
+                started = perf_counter()
+                machine.run(
+                    max_instructions=REPORT_WINDOW,
+                    trace_sink=ColumnarTrace(),
+                )
+                elapsed = perf_counter() - started
+            finally:
+                set_superblock_enabled(previous)
+            best[enabled] = min(best[enabled], elapsed)
+    assert best[True] <= best[False], (
+        f"{name}: replay {best[True]:.3f}s > "
+        f"step-decode {best[False]:.3f}s"
     )
 
 
