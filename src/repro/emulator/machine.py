@@ -477,7 +477,9 @@ class Machine:
                         )
                     except BaseException as error:
                         flush_log(block_log, sb_emitters)
-                        template.emit_retired(columns, error)
+                        template.emit_retired(
+                            error, sb_emitters, addr_extend, sp_extend
+                        )
                         raise
                     log_append(blobs)
                     if len(block_log) >= 4096:

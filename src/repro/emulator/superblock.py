@@ -275,14 +275,17 @@ class SuperblockTemplate:
         #: Per op, the local holding ``$sp`` after it retired.
         self._sp_names = sp_names
 
-    def emit_retired(self, columns, error: BaseException) -> None:
+    def emit_retired(self, error: BaseException, emitters, addr_extend,
+                     sp_extend) -> None:
         """Append the columns of the ops retired before ``error``.
 
-        Reads the generated function's locals from the traceback of
-        the fault it raised.  Effective addresses live in locals
-        ``a<k>`` (bound before op ``k`` touches memory), and ``p`` is
-        stored just before a division or indirect jump, so the
-        faulting op is the highest position the frame has reached.
+        ``emitters`` are the static columns' appenders, in the order
+        :func:`flush_log` takes them.  Reads the generated function's
+        locals from the traceback of the fault it raised.  Effective
+        addresses live in locals ``a<k>`` (bound before op ``k``
+        touches memory), and ``p`` is stored just before a division or
+        indirect jump, so the faulting op is the highest position the
+        frame has reached.
         """
         tb = error.__traceback__
         while tb.tb_frame.f_code is not self._code:
@@ -294,23 +297,10 @@ class SuperblockTemplate:
                 done = max(done, int(name[1:]))
         if done == 0:
             return
-        (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, np_b) = self._static
-        wide = 8 * done
-        columns.pc.frombytes(pc_b[:wide])
-        columns.opcode.extend(op_b[:done])
-        columns.flags.extend(fl_b[:done])
-        columns.size.extend(sz_b[:done])
-        columns.base.frombytes(ba_b[:done])
-        columns.dst.frombytes(ds_b[:done])
-        columns.nsrc.extend(ns_b[:done])
-        columns.src0.extend(s0_b[:done])
-        columns.src1.extend(s1_b[:done])
-        columns.disp.frombytes(di_b[:wide])
-        columns.spimm.frombytes(si_b[:wide])
-        columns.next_pc.frombytes(np_b[:wide])
-        columns.addr.extend(frame.get(f"a{k}", 0) for k in range(done))
-        columns.sp.extend(frame[name] for name in self._sp_names[:done])
+        for emit, blob in zip(emitters, self._static):
+            emit(blob[:done * (len(blob) // self.length)])
+        addr_extend(frame.get(f"a{k}", 0) for k in range(done))
+        sp_extend(frame[name] for name in self._sp_names[:done])
 
 
 def build_template(decoded, emit_cols, start_index, length, text_base,

@@ -101,7 +101,7 @@ class TestWorkloadIdentity:
         # straight-line region: the engine must fall back to
         # step-decode rather than overshoot the window.
         work = registry.workload("164.gzip")
-        for window in range(3_000, 3_005):
+        for window in range(3_000, 3_009):
             trace = _assert_identical(work, window)
             assert len(trace) == window
 
