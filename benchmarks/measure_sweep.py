@@ -5,20 +5,17 @@ Regenerates ``benchmarks/results/sweep_timing.txt``::
     PYTHONPATH=src python benchmarks/measure_sweep.py [--jobs 1]
 
 For each committed timing suite (``svf_size.yaml``, ``banking.yaml``)
-three runs are timed: batched on a cold cache, unbatched
-(``--no-batch`` semantics) on a separate cold cache, and batched again
-on the warm cache the first run left behind.  Every run's
-``run_table.json`` and ``summary.txt`` are compared byte-for-byte, so
-the artifact doubles as a determinism check for the batching tentpole:
-fusing a workload's grid into one trace pass must not move a single
-byte of output.
+two runs are timed: one on a cold cache, and one on the warm cache the
+first run left behind.  Both runs' ``run_table.json`` and
+``summary.txt`` are compared byte-for-byte, so the artifact doubles as
+a determinism check: resuming a fused group from its members' cache
+entries must not move a single byte of output.
 
 Each measurement runs in a fresh interpreter (``--run-one`` re-invokes
-this script).  A long-lived parent would hand later runs warm
-module-level state — decoded programs, in-process trace caches — left
-behind by earlier ones, and the "cold" unbatched leg would borrow the
-batched leg's warmth (or vice versa).  A subprocess per measurement is
-the only reliable cold start.
+this script).  A long-lived parent would hand the warm run module-level
+state — decoded programs, in-process trace caches — on top of the disk
+cache it is meant to measure.  A subprocess per measurement is the only
+reliable cold start.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ def run_one(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=args.cache_dir is not None,
-        batch=bool(args.batch),
     )
     started = time.perf_counter()
     result = api.sweep(args.run_one, options=options)
@@ -70,17 +66,15 @@ def run_one(args) -> int:
     return 0
 
 
-def timed_run(suite: str, batch: bool, cache_dir: str, args) -> tuple:
+def timed_run(suite: str, name: str, cache_dir: str, args) -> tuple:
     """Time one sweep run in a fresh interpreter."""
-    out_prefix = Path(cache_dir) / f"run-{'batch' if batch else 'plain'}"
+    out_prefix = Path(cache_dir) / f"run-{name}"
     proc = subprocess.run(
         [
             sys.executable,
             __file__,
             "--run-one",
             str(SUITES_DIR / f"{suite}.yaml"),
-            "--batch",
-            str(int(batch)),
             "--jobs",
             str(args.jobs),
             "--cache-dir",
@@ -101,23 +95,19 @@ def timed_run(suite: str, batch: bool, cache_dir: str, args) -> tuple:
 
 
 def measure_suite(suite: str, args) -> dict:
-    """Cold batched, cold unbatched, warm batched — fresh caches."""
-    batched_dir = tempfile.mkdtemp(prefix="repro-measure-sweep-")
-    plain_dir = tempfile.mkdtemp(prefix="repro-measure-sweep-")
+    """Cold, then warm on the cache the cold run left — fresh cache."""
+    cache_dir = tempfile.mkdtemp(prefix="repro-measure-sweep-")
     try:
-        cold, cold_texts = timed_run(suite, True, batched_dir, args)
-        plain, plain_texts = timed_run(suite, False, plain_dir, args)
-        warm, warm_texts = timed_run(suite, True, batched_dir, args)
+        cold, cold_texts = timed_run(suite, "cold", cache_dir, args)
+        warm, warm_texts = timed_run(suite, "warm", cache_dir, args)
     finally:
-        shutil.rmtree(batched_dir, ignore_errors=True)
-        shutil.rmtree(plain_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
     return {
         "rows": cold["rows"],
-        "batched_cold_seconds": cold["seconds"],
-        "unbatched_cold_seconds": plain["seconds"],
-        "batched_warm_seconds": warm["seconds"],
+        "cold_seconds": cold["seconds"],
+        "warm_seconds": warm["seconds"],
         "warm_cache_hits": warm["cache_hits"],
-        "identical": cold_texts == plain_texts == warm_texts,
+        "identical": cold_texts == warm_texts,
     }
 
 
@@ -125,7 +115,6 @@ def main() -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument("--jobs", type=int, default=1)
     cli.add_argument("--run-one", default=None, help=argparse.SUPPRESS)
-    cli.add_argument("--batch", type=int, default=1, help=argparse.SUPPRESS)
     cli.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     cli.add_argument("--out-prefix", default=None, help=argparse.SUPPRESS)
     args = cli.parse_args()
@@ -140,27 +129,22 @@ def main() -> int:
         f"(--jobs {args.jobs}; host: {os.cpu_count()} CPU(s); "
         "each run in a fresh interpreter)",
         "",
-        f"{'suite':10s} {'rows':>4s} {'batched':>9s} {'unbatched':>9s} "
-        f"{'speedup':>7s} {'warm':>7s}",
+        f"{'suite':10s} {'rows':>4s} {'cold':>7s} {'warm':>7s}",
     ]
     for suite, m in measured.items():
-        speedup = m["unbatched_cold_seconds"] / m["batched_cold_seconds"]
         lines.append(
             f"{suite:10s} {m['rows']:4d} "
-            f"{m['batched_cold_seconds']:8.1f}s "
-            f"{m['unbatched_cold_seconds']:8.1f}s "
-            f"{speedup:6.2f}x "
-            f"{m['batched_warm_seconds']:6.1f}s"
+            f"{m['cold_seconds']:6.1f}s "
+            f"{m['warm_seconds']:6.1f}s"
         )
     lines += [
         "",
-        "run_table.json + summary.txt byte-identical across "
-        f"batched / unbatched / warm runs: {'yes' if all_identical else 'NO'}",
+        "run_table.json + summary.txt byte-identical across cold / warm "
+        f"runs: {'yes' if all_identical else 'NO'}",
         "",
-        "caveat: host-dependent wall clock.  The batched/unbatched ratio",
-        "is the honest number — it measures walks saved per workload, not",
-        "machine speed.  Warm runs are bounded by cache lookups, so their",
-        "absolute times say nothing about the batching win.",
+        "caveat: host-dependent wall clock.  Warm runs are bounded by",
+        "cache lookups, so their absolute times say nothing about the",
+        "timing walk.",
     ]
     if (os.cpu_count() or 1) == 1:
         lines.append(
@@ -175,13 +159,9 @@ def main() -> int:
     for suite, m in measured.items():
         results["suites"][suite] = {
             "rows": m["rows"],
-            "batched_cold_seconds": round(m["batched_cold_seconds"], 3),
-            "unbatched_cold_seconds": round(m["unbatched_cold_seconds"], 3),
-            "batched_warm_seconds": round(m["batched_warm_seconds"], 3),
+            "cold_seconds": round(m["cold_seconds"], 3),
+            "warm_seconds": round(m["warm_seconds"], 3),
             "warm_cache_hits": m["warm_cache_hits"],
-            "cold_speedup": round(
-                m["unbatched_cold_seconds"] / m["batched_cold_seconds"], 3
-            ),
             "outputs_byte_identical": m["identical"],
         }
     json_path = write_bench_json("sweep", results)

@@ -397,7 +397,7 @@ def simulate_batch(
     returns one :class:`SimStats` per machine, in order — bit-for-bit
     identical to sequential :func:`simulate` calls, but the trace is
     walked once for all distinct configurations (duplicates are
-    deduplicated).  ``REPRO_BATCH=0`` falls back to sequential runs.
+    deduplicated).
     """
     if isinstance(trace, str):
         trace = _workload(trace, input_name).trace(

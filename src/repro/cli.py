@@ -45,8 +45,7 @@ Commands:
     summary.  The run table is byte-identical across ``--jobs``
     values and warm re-runs; cached cells are skipped, so sweeps are
     resumable.  Timing rows sharing a workload run as one batched
-    trace pass (``--no-batch`` or ``REPRO_BATCH=0`` reverts to one
-    simulation per row — same bytes, slower).  ``--dry-run`` validates
+    trace pass.  ``--dry-run`` validates
     and prints the expansion plan without running anything; exit 1
     when any cell degraded to a gap row.
 ``chaos [--suite FILE] [--kill N] [--hang N] [--corrupt N] [--seed S]``
@@ -250,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=600.0,
         help="per-attempt cell deadline in seconds, from submission",
     )
-    sweep_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="simulate each run-table row separately instead of one "
-             "batched trace pass per workload (same bytes, for "
-             "debugging; REPRO_BATCH=0 disables batching globally)",
-    )
 
     chaos_parser = commands.add_parser(
         "chaos",
@@ -363,11 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--input", default=None)
     profile_parser.add_argument(
         "--max-instructions", type=int, default=40_000
-    )
-    profile_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="time the baseline and SVF runs as two separate walks "
-             "instead of one batched pass",
     )
     opt_flag(profile_parser)
 
@@ -668,7 +656,6 @@ def cmd_sweep(args) -> int:
         use_cache=not args.no_cache,
         task_timeout=args.task_timeout,
         out_dir=out_dir,
-        batch=not args.no_batch,
     )
     result = api.sweep(
         spec,
@@ -767,7 +754,6 @@ def cmd_profile(args) -> int:
     )
     from repro.trace.first_touch import FirstTouchProfile
     from repro.uarch.config import table2_config
-    from repro.uarch.pipeline import simulate as run_timing
     from repro.uarch.pipeline import simulate_batch
 
     try:
@@ -782,13 +768,9 @@ def cmd_profile(args) -> int:
         )
         base = table2_config(16)
         svf_config = base.with_svf(mode="svf", ports=2)
-        if args.no_batch:
-            baseline = run_timing(trace, base)
-            svf = run_timing(trace, svf_config)
-        else:
-            # One batched pass: the profile shows the batch counters
-            # (batch_configs, batch_walks_saved) alongside the phases.
-            baseline, svf = simulate_batch(trace, [base, svf_config])
+        # One batched pass: the profile shows the batch counters
+        # (batch_configs, batch_walks_saved) alongside the phases.
+        baseline, svf = simulate_batch(trace, [base, svf_config])
         simulate_traffic(trace)
         # The Figure 1-3 characterization pass, so "analysis" shows up
         # as its own phase instead of folding into "traffic".

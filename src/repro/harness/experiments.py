@@ -27,7 +27,7 @@ from repro.trace.first_touch import FirstTouchProfile
 from repro.trace.regions import AccessMethod
 from repro.core.traffic import simulate_traffic
 from repro.uarch.config import table2_config
-from repro.uarch.pipeline import simulate, simulate_batch
+from repro.uarch.pipeline import simulate_batch
 from repro.uarch.stats import SimStats
 from repro.workloads import (
     BENCHMARK_ORDER,
@@ -40,28 +40,6 @@ from repro.workloads import (
 
 DEFAULT_TIMING_WINDOW = 80_000
 DEFAULT_FUNCTIONAL_WINDOW = 150_000
-
-# Per-process memo of finished timing runs, keyed by (benchmark,
-# window, machine config).  The per-config cell split (one parallel
-# cell per machine configuration) re-derives each figure's shared
-# baseline in several cells; the memo collapses those repeats within
-# one worker process.  Simulation is a pure function of
-# (trace, config), so memoized and fresh results are identical.
-_SIM_MEMO: Dict[Tuple, SimStats] = {}
-
-
-def _memo_simulate(name, window, trace, config) -> SimStats:
-    key = (name, window, config)
-    stats = _SIM_MEMO.get(key)
-    if stats is None:
-        stats = simulate(trace, config)
-        _SIM_MEMO[key] = stats
-    return stats
-
-
-def clear_sim_memo() -> None:
-    """Drop all memoized timing runs (used by tests)."""
-    _SIM_MEMO.clear()
 
 
 def _suite(benchmarks: Optional[Sequence[str]]) -> List[str]:
@@ -684,18 +662,8 @@ def fig9_svf_speedup(
 
 
 # ---------------------------------------------------------------------------
-# Per-config cells — one (benchmark, machine config) computation each.
-#
-# The report engine now plans whole-row cells (one batched trace pass
-# per benchmark and figure, see repro.harness.runall._plan_cells), but
-# the per-config split stays supported: chaos/fault tooling and tests
-# still target individual (benchmark, config) cells, and the machine-
-# pair helpers below also feed the section content keys.  Each function
-# reproduces exactly one column of the corresponding full driver above
-# — same trace, same configs, same arithmetic — so a report assembled
-# from per-config cells is bit-identical to one assembled from batched
-# whole-row cells.  The shared baselines these cells re-derive are
-# collapsed by the per-process _SIM_MEMO.
+# Machine pairs — the (baseline, variant) configs of one figure column,
+# shared by the section content keys and the frozen model goldens.
 # ---------------------------------------------------------------------------
 
 FIG5_CONFIGS = ("4-wide", "8-wide", "16-wide", "16-wide gshare")
@@ -765,63 +733,3 @@ def fig9_machine_pair(config: str, capacity_bytes: int = 8192):
         mode="svf", ports=svf_ports, capacity_bytes=capacity_bytes
     )
     return base, variant
-
-
-def fig5_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-) -> float:
-    """One column of Figure 5 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, ideal_config = fig5_machine_pair(config)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    ideal = _memo_simulate(name, max_instructions, trace, ideal_config)
-    return ideal.speedup_over(baseline)
-
-
-def fig6_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-) -> float:
-    """One column of Figure 6 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, variant = fig6_machine_pair(config)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    return run.speedup_over(baseline)
-
-
-def fig7_config_result(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-    capacity_bytes: int = 8192,
-) -> Tuple[float, Optional[SimStats]]:
-    """One column of Figure 7; the "(2+2)svf" column also returns the
-    run's :class:`SimStats` (the Figure 8 reference breakdown)."""
-    name = _suite([benchmark])[0]
-    base, variant = fig7_machine_pair(config, capacity_bytes)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    stats = run if config == "(2+2)svf" else None
-    return run.speedup_over(baseline), stats
-
-
-def fig9_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-    capacity_bytes: int = 8192,
-) -> float:
-    """One column of Figure 9 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, variant = fig9_machine_pair(config, capacity_bytes)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    return run.speedup_over(baseline)

@@ -527,10 +527,6 @@ class SweepOptions:
     out_dir: Optional[str] = None
     #: deterministic fault plan forwarded to the engine (chaos runs).
     fault_plan: Optional[chaos.FaultPlan] = None
-    #: fuse timing cells sharing (workload, opt, rep) into one batched
-    #: trace pass (``--no-batch`` turns this off); the run table is
-    #: byte-identical either way.
-    batch: bool = True
 
     def __post_init__(self):
         if self.jobs is not None and self.jobs < 1:
@@ -743,17 +739,9 @@ def run_sweep(
     # optimization only (row identities, cache keys and run-table
     # bytes are invariant).  Chaos runs stay unfused — fault plans
     # target the per-cell keys :func:`plan_cells` enumerates.
-    from repro.uarch.pipeline import batch_enabled
-
-    fuse = (
-        spec.kind == "timing"
-        and options.batch
-        and batch_enabled()
-        and options.fault_plan is None
-    )
     batch_of: Dict[TaskCell, TaskCell] = {}
     submit = list(cells)
-    if fuse:
+    if spec.kind == "timing" and options.fault_plan is None:
         submit, batch_of = _fuse_cells(spec, cells)
     engine = EngineOptions(
         jobs=options.jobs,

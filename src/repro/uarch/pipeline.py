@@ -41,7 +41,9 @@ columns become flat python lists once per trace (:class:`_FastColumns`,
 pure python, shared by every config of a batch), the occupancy pools
 are dense :class:`~repro.uarch.resources.CycleWindow` lists whose port
 windows also carry skip distances over full cycles, and the
-memory-completion logic is inlined route by route.
+memory-completion logic is inlined route by route.  Every multi-config
+figure, report cell and sweep group reaches the walk through
+:func:`simulate_batch`.
 
 :func:`_reference_stepper` is the plain pure-python walk it must agree
 with cycle for cycle.  It probes the per-cycle resource pools as raw
@@ -55,7 +57,6 @@ model as it stood before its hot paths were optimised.
 from __future__ import annotations
 
 import copy
-import os
 from collections import deque
 from time import perf_counter
 from typing import Iterable, List, Optional
@@ -95,29 +96,24 @@ _R_SC = 3
 #: config's walk revisits the same stretch of columns while it is warm.
 _BATCH_CHUNK = 16384
 
-_BATCH_ENABLED = os.environ.get("REPRO_BATCH", "1") != "0"
-
 
 def batch_enabled() -> bool:
-    """Is the batched multi-config engine enabled?
+    """Always ``True``: every multi-config timing figure is batched.
 
-    Defaults to on; export ``REPRO_BATCH=0`` (worker processes inherit
-    it) or call :func:`set_batch_enabled` to force the sequential
-    per-config reference path.
+    Kept only because the benchmark's host block
+    (``perfbench/rep.py``) imports it to report the engine's legs.
     """
-    return _BATCH_ENABLED
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Enable/disable batched simulation; returns the previous setting."""
-    global _BATCH_ENABLED
-    previous = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-    return previous
+    return True
 
 
 def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
-    """Run the timing model over a trace; returns :class:`SimStats`."""
+    """Run the timing model over a trace; returns :class:`SimStats`.
+
+    This drives its own single-chunk walk rather than calling
+    :func:`simulate_batch`: a sweep falls back to per-config
+    :func:`simulate` calls when a batched pass fails, and that fallback
+    must not re-enter the batched drive.
+    """
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
     profiler = profiling.active()
@@ -147,17 +143,16 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     configs (a common case: ablation grids share one baseline) are
     simulated once and returned as independent copies.
 
-    With batching disabled (:func:`set_batch_enabled` /
-    ``REPRO_BATCH=0``) or a single config this degrades to sequential
-    :func:`simulate` calls and emits no batch counters.
+    A single config is a plain :func:`simulate` call and emits no
+    batch counters.
     """
     configs = list(configs)
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
     if not configs:
         return []
-    if len(configs) == 1 or not _BATCH_ENABLED:
-        return [simulate(trace, config) for config in configs]
+    if len(configs) == 1:
+        return [simulate(trace, configs[0])]
 
     # MachineConfig is frozen/hashable: dedup to one walk per distinct
     # config, insertion-ordered so walk order is deterministic.

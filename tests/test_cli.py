@@ -276,14 +276,6 @@ class TestProfile:
         assert "batch_configs" in out
         assert "batch_walks_saved" in out
 
-    def test_no_batch_runs_two_walks_without_counters(self, capsys):
-        assert main(["profile", "gzip", "--max-instructions", "3000",
-                     "--no-batch"]) == 0
-        out = capsys.readouterr().out
-        assert "gzip.graphic: 3,000 instructions traced" in out
-        assert "batch_configs" not in out
-        assert "batch_walks_saved" not in out
-
     def test_unknown_workload(self, capsys):
         assert main(["profile", "doom"]) == 2
         err = capsys.readouterr().err
@@ -401,18 +393,3 @@ class TestSweep:
         assert json.loads(
             (out_dir / "run_table.json").read_text()
         ) == payload
-
-    def test_no_batch_flag_produces_identical_run_table(
-        self, tmp_path, capsys
-    ):
-        path = self.write_suite(tmp_path)
-        batched_dir = tmp_path / "batched"
-        plain_dir = tmp_path / "plain"
-        assert main(["sweep", path, "--jobs", "1", "--no-cache",
-                     "--out", str(batched_dir)]) == 0
-        assert main(["sweep", path, "--jobs", "1", "--no-cache",
-                     "--out", str(plain_dir), "--no-batch"]) == 0
-        capsys.readouterr()
-        for artifact in ("run_table.json", "summary.txt"):
-            assert (batched_dir / artifact).read_bytes() == \
-                (plain_dir / artifact).read_bytes(), artifact

@@ -2,10 +2,11 @@
 
 The contract (see :func:`repro.harness.sweep.run_sweep_batch_cell`):
 fusing timing cells into ``"sweep-batch"`` groups changes submission
-shape only — run-table and summary bytes are identical batched vs
-unbatched at every ``--jobs``, per-member cell-cache keys stay the
-caching unit (a partially-warm group recomputes only its cold
-members), and failures degrade exactly the offending member's row.
+shape only — run-table and summary bytes are identical to the same
+sweep run as plain per-row ``"sweep"`` cells at every ``--jobs``,
+per-member cell-cache keys stay the caching unit (a partially-warm
+group recomputes only its cold members), and failures degrade exactly
+the offending member's row.
 """
 
 import pytest
@@ -45,20 +46,33 @@ def timing_suite(**overrides):
     return parse_suite(data)
 
 
-def _run(spec, tmp_path, name, *, jobs=1, batch=True, use_cache=True):
+def _run(spec, tmp_path, name, *, jobs=1, use_cache=True):
     return run_sweep(spec, SweepOptions(
         jobs=jobs,
         cache_dir=str(tmp_path / name) if use_cache else None,
         use_cache=use_cache,
-        batch=batch,
     ))
 
 
+def _run_unfused(monkeypatch, spec, tmp_path, name, *, jobs=1):
+    """The plain-cell reference: the same sweep with fusion replaced by
+    the identity, so every row runs as its own ``"sweep"`` cell."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            sweep_mod, "_fuse_cells", lambda spec, cells: (list(cells), {})
+        )
+        return _run(spec, tmp_path, name, jobs=jobs)
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_run_table_bytes_identical_batched_vs_unbatched(tmp_path, jobs):
+def test_run_table_bytes_identical_batched_vs_unbatched(
+    tmp_path, monkeypatch, submitted_sections, jobs
+):
     spec = timing_suite()
-    batched = _run(spec, tmp_path, f"b{jobs}", jobs=jobs, batch=True)
-    plain = _run(spec, tmp_path, f"p{jobs}", jobs=jobs, batch=False)
+    batched = _run(spec, tmp_path, f"b{jobs}", jobs=jobs)
+    del submitted_sections[:]
+    plain = _run_unfused(monkeypatch, spec, tmp_path, f"p{jobs}", jobs=jobs)
+    assert submitted_sections == ["sweep"] * 4
     assert batched.ok and plain.ok
     assert batched.run_table_json() == plain.run_table_json()
     assert batched.render_summary() == plain.render_summary()
@@ -74,7 +88,9 @@ def test_fused_submission_shape(tmp_path, submitted_sections):
     assert "sweep" not in submitted_sections
 
 
-def test_partially_warm_group_recomputes_only_cold_members(tmp_path):
+def test_partially_warm_group_recomputes_only_cold_members(
+    tmp_path, monkeypatch
+):
     cache = tmp_path / "warm"
     # Warm only the ports=1 member of each workload's group (singleton
     # groups run as plain cells, landing under the member cache keys).
@@ -96,12 +112,12 @@ def test_partially_warm_group_recomputes_only_cold_members(tmp_path):
     third = run_sweep(full, SweepOptions(jobs=1, cache_dir=str(cache)))
     assert third.ok and third.cache_hits == len(third.rows) == 4
 
-    # Warm rows are byte-identical to a cold unbatched run.
-    cold = _run(full, tmp_path, "cold", batch=False)
+    # Warm rows are byte-identical to a cold plain-cell run.
+    cold = _run_unfused(monkeypatch, full, tmp_path, "cold")
     assert third.run_table_json() == cold.run_table_json()
 
 
-def test_member_failure_degrades_exactly_one_row(tmp_path):
+def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
     # svf_granularity=12 passes spec validation but the simulator
     # rejects it (granularity must be a multiple of 8): the batched
     # pass fails as a whole, falls back to sequential per-member
@@ -110,8 +126,8 @@ def test_member_failure_degrades_exactly_one_row(tmp_path):
     spec = timing_suite(
         workloads=["gzip"], grid={"svf_granularity": [8, 12]}
     )
-    batched = _run(spec, tmp_path, "deg-b", batch=True)
-    plain = _run(spec, tmp_path, "deg-p", batch=False)
+    batched = _run(spec, tmp_path, "deg-b")
+    plain = _run_unfused(monkeypatch, spec, tmp_path, "deg-p")
     for result in (batched, plain):
         assert not result.ok
         bad = [row for row in result.rows if not row.ok]
@@ -136,22 +152,6 @@ def test_batch_engine_failure_falls_back_sequentially(
     spec = timing_suite(workloads=["gzip"])
     result = _run(spec, tmp_path, "fallback")
     assert result.ok and len(result.rows) == 2
-
-
-def test_no_batch_option_and_gate_produce_plain_cells(
-    tmp_path, submitted_sections
-):
-    spec = timing_suite(workloads=["gzip"])
-    _run(spec, tmp_path, "plain", batch=False)
-    assert submitted_sections == ["sweep", "sweep"]
-
-    del submitted_sections[:]
-    previous = pipeline.set_batch_enabled(False)
-    try:
-        _run(spec, tmp_path, "gated", batch=True)
-    finally:
-        pipeline.set_batch_enabled(previous)
-    assert submitted_sections == ["sweep", "sweep"]
 
 
 def test_traffic_sweeps_never_fuse(tmp_path, submitted_sections):

@@ -21,12 +21,7 @@ from repro.trace.columnar import ColumnarTrace, set_numpy_enabled
 from repro.trace.columnar import _np as _numpy
 from repro.uarch import pipeline
 from repro.uarch.config import table2_config
-from repro.uarch.pipeline import (
-    batch_enabled,
-    set_batch_enabled,
-    simulate,
-    simulate_batch,
-)
+from repro.uarch.pipeline import simulate, simulate_batch
 from repro.workloads import ALL_BENCHMARKS, workload
 
 WINDOW = 2_000
@@ -148,21 +143,6 @@ def test_batch_counters_note_saved_walks(gzip_trace):
         simulate_batch(gzip_trace, configs)
     assert profiler.counters["batch_configs"] == 3
     assert profiler.counters["batch_walks_saved"] == 2
-
-
-def test_gate_disables_batching_and_counters(gzip_trace):
-    previous = set_batch_enabled(False)
-    try:
-        assert batch_enabled() is False
-        with profiling.profiled() as profiler:
-            batched = simulate_batch(gzip_trace, GRID[:3])
-    finally:
-        set_batch_enabled(previous)
-    assert "batch_configs" not in profiler.counters
-    assert "batch_walks_saved" not in profiler.counters
-    sequential = [simulate(gzip_trace, config) for config in GRID[:3]]
-    for i, (ref, bat) in enumerate(zip(sequential, batched)):
-        _assert_stats_equal(ref, bat, f"gated[{i}]")
 
 
 # --- fuzzed programs: same step grammar as the columnar gate ---------
