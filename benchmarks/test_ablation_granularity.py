@@ -1,7 +1,7 @@
 """Ablation — valid/dirty-bit granularity (paper Section 3.3).
 
 ``suites/granularity.yaml`` declares the traffic-kind sweep (each
-cell walks the functional trace through a stand-alone SVF at one
+cell walks the functional trace through the traffic model at one
 granule size); this file asserts the paper's shape over the run-table
 rows: coarser granules must not reduce quad-word traffic.
 """

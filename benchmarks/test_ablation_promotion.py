@@ -9,7 +9,7 @@ SVF's headroom grows with it.
 
 from repro.harness import render_table
 from repro.lang import CodegenOptions
-from repro.trace.analysis import AccessDistribution
+from repro.trace.analysis import AccessDistribution, consume_trace
 from repro.workloads import workload
 
 BENCHMARKS = ["186.crafty", "164.gzip", "300.twolf"]
@@ -17,11 +17,11 @@ BENCHMARKS = ["186.crafty", "164.gzip", "300.twolf"]
 
 def distribution(name, promoted, window):
     dist = AccessDistribution()
-    workload(name).run(
+    trace = workload(name).trace(
         max_instructions=window,
-        trace_sink=dist,
         options=CodegenOptions(promoted_locals=promoted),
     )
+    consume_trace(trace, (dist,))
     return dist
 
 

@@ -7,7 +7,8 @@ run-length compressor you could have written yourself — instead of the
 built-in suite:
 
 1. compile MiniC source with the bundled compiler;
-2. execute it and stream the trace through the Figure-1/2/3 analyses;
+2. execute it into a columnar trace and walk that trace through the
+   Figure-1/2/3 analyses;
 3. print the access-method distribution, stack-depth curve and offset
    locality;
 4. check how an 8 KB SVF would have treated its stack traffic.
@@ -21,9 +22,10 @@ from repro.lang import compile_program
 from repro.trace import (
     AccessDistribution,
     AccessMethod,
-    MultiSink,
+    ColumnarTrace,
     OffsetLocality,
     StackDepthProfile,
+    consume_trace,
 )
 
 SOURCE = """
@@ -72,15 +74,16 @@ def main() -> None:
     program = compile_program(SOURCE)
     print(f"compiled: {len(program.instructions)} static instructions")
 
+    trace = ColumnarTrace()
+    machine = Machine(program)
+    machine.run(trace_sink=trace)
+    print(f"executed: {machine.instruction_count:,} instructions, "
+          f"output = {machine.output}")
+
     distribution = AccessDistribution()
     depth = StackDepthProfile(stack_base=STACK_BASE)
     locality = OffsetLocality()
-    sink = MultiSink(distribution, depth, locality, keep=True)
-
-    machine = Machine(program)
-    machine.run(trace_sink=sink)
-    print(f"executed: {machine.instruction_count:,} instructions, "
-          f"output = {machine.output}")
+    consume_trace(trace, (distribution, depth, locality))
 
     print("\n-- Figure 1 style: access distribution --")
     print(f"memory refs / instruction : {distribution.memory_fraction:.2f}")
@@ -102,7 +105,7 @@ def main() -> None:
     print(f"beyond TOS              : {locality.beyond_tos}")
 
     print("\n-- SVF vs stack cache traffic (8 KB) --")
-    traffic = simulate_traffic(sink.records, capacity_bytes=8192)
+    traffic = simulate_traffic(trace, capacity_bytes=8192)
     print(f"stack cache : {traffic.stack_cache_qw_in:,} QW in / "
           f"{traffic.stack_cache_qw_out:,} QW out")
     print(f"SVF         : {traffic.svf_qw_in:,} QW in / "

@@ -250,6 +250,12 @@ class ReportOptions:
             object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
+        for name in ("timing_window", "functional_window"):
+            window = getattr(self, name)
+            if window < 1:
+                raise ValueError(
+                    f"{name} must be a positive integer, not {window!r}"
+                )
 
     def resolved_cache_dir(self) -> Optional[str]:
         """The effective cache root, or ``None`` when caching is off."""

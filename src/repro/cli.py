@@ -85,6 +85,15 @@ from repro.errors import UsageError
 from repro.workloads import BENCHMARK_ORDER, input_names, workload
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for windows and instruction caps: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -103,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="execute a workload")
     run_parser.add_argument("workload")
     run_parser.add_argument("--input", default=None)
-    run_parser.add_argument("--max-instructions", type=int, default=None)
+    run_parser.add_argument("--max-instructions", type=_positive_int,
+                            default=None)
     opt_flag(run_parser)
 
     char_parser = commands.add_parser(
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     char_parser.add_argument("workloads", nargs="*")
     char_parser.add_argument(
-        "--max-instructions", type=int, default=100_000
+        "--max-instructions", type=_positive_int, default=100_000
     )
     char_parser.add_argument(
         "--format", default="text", choices=("text", "json"),
@@ -134,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--no-squash", action="store_true")
     sim_parser.add_argument("--predictor", default="perfect",
                             choices=("perfect", "gshare"))
-    sim_parser.add_argument("--max-instructions", type=int, default=60_000)
+    sim_parser.add_argument("--max-instructions", type=_positive_int,
+                            default=60_000)
     opt_flag(sim_parser)
 
     compile_parser = commands.add_parser(
@@ -143,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("source")
     compile_parser.add_argument("--emit", default="asm",
                                 choices=("asm", "run"))
-    compile_parser.add_argument("--max-instructions", type=int,
+    compile_parser.add_argument("--max-instructions", type=_positive_int,
                                 default=None)
     opt_flag(compile_parser)
 
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the emulator and cross-check the certificate",
     )
     certify_parser.add_argument(
-        "--max-instructions", type=int, default=None,
+        "--max-instructions", type=_positive_int, default=None,
         help="instruction cap for --validate runs (default: full runs)",
     )
     certify_parser.add_argument(
@@ -291,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=20.0,
         help="per-attempt cell deadline during the chaos run",
     )
-    chaos_parser.add_argument("--timing-window", type=int, default=1_500)
+    chaos_parser.add_argument("--timing-window", type=_positive_int,
+                              default=1_500)
     chaos_parser.add_argument(
-        "--functional-window", type=int, default=1_500
+        "--functional-window", type=_positive_int, default=1_500
     )
     chaos_parser.add_argument(
         "--no-concurrent", action="store_true",
@@ -311,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate one paper table/figure"
     )
     exp_parser.add_argument("name", choices=api.EXPERIMENT_NAMES)
-    exp_parser.add_argument("--window", type=int, default=None)
+    exp_parser.add_argument("--window", type=_positive_int, default=None)
     exp_parser.add_argument(
         "--format", default="text", choices=("text", "json"),
     )
@@ -320,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run every experiment and write one markdown report"
     )
     report_parser.add_argument("--output", default="REPORT.md")
-    report_parser.add_argument("--timing-window", type=int, default=40_000)
+    report_parser.add_argument("--timing-window", type=_positive_int,
+                               default=40_000)
     report_parser.add_argument(
-        "--functional-window", type=int, default=80_000
+        "--functional-window", type=_positive_int, default=80_000
     )
     report_parser.add_argument(
         "--benchmarks", nargs="*", default=None,
@@ -355,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("workload")
     profile_parser.add_argument("--input", default=None)
     profile_parser.add_argument(
-        "--max-instructions", type=int, default=40_000
+        "--max-instructions", type=_positive_int, default=40_000
     )
     opt_flag(profile_parser)
 
@@ -368,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of benchmarks (default: all 13 programs)",
     )
     predict_parser.add_argument(
-        "--max-instructions", type=int, default=None,
+        "--max-instructions", type=_positive_int, default=None,
         help="instruction window (default: full runs)",
     )
     predict_parser.add_argument("--capacity", type=int, default=8192)
@@ -387,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("workload")
     trace_parser.add_argument("output")
     trace_parser.add_argument("--input", default=None)
-    trace_parser.add_argument("--max-instructions", type=int,
+    trace_parser.add_argument("--max-instructions", type=_positive_int,
                               default=100_000)
     opt_flag(trace_parser)
 
@@ -517,6 +530,7 @@ def cmd_compile(args) -> int:
     machine, _trace = run_program(
         api.compile_source(source, options),
         max_instructions=args.max_instructions,
+        collect_trace=False,
     )
     print(f"{machine.instruction_count:,} instructions, "
           f"halted={machine.halted}")
@@ -816,20 +830,16 @@ def cmd_predict(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.trace import save_trace
-    from repro.trace.columnar import ColumnarTrace
 
     try:
         work = workload(args.workload, args.input)
     except KeyError as exc:
         return _fail(exc.args[0])
-    options = _compile_options(args)
-    columns = ColumnarTrace()
-    work.run(
+    trace = work.trace(
         max_instructions=args.max_instructions,
-        trace_sink=columns,
-        options=options.codegen(),
+        options=_compile_options(args).codegen(),
     )
-    count = save_trace(columns, args.output)
+    count = save_trace(trace, args.output)
     print(f"wrote {count:,} records to {args.output}")
     return 0
 

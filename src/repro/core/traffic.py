@@ -61,15 +61,22 @@ class TrafficResult:
 
 
 class TrafficSimulator:
-    """Streaming traffic model; implements the trace-sink protocol."""
+    """Streaming traffic model over one trace.
+
+    :meth:`consume_columns` is the production walk; :meth:`append` is
+    the record-at-a-time reference the tests compare it against.
+    """
 
     def __init__(
         self,
         capacity_bytes: int = 8192,
         line_size: int = 32,
         context_switch_period: Optional[int] = None,
+        granularity: int = 8,
     ):
-        self.svf = StackValueFile(capacity_bytes=capacity_bytes)
+        self.svf = StackValueFile(
+            capacity_bytes=capacity_bytes, granularity=granularity
+        )
         self.stack_cache = StackCache(
             capacity_bytes=capacity_bytes, line_size=line_size
         )
@@ -83,6 +90,7 @@ class TrafficSimulator:
         self._stack_cache_switch_bytes = 0
 
     def append(self, record) -> None:
+        """Reference walk: feed one :class:`TraceRecord`."""
         if not self._sp_seen:
             self.svf.update_sp(record.sp_value)
             self._sp_seen = True
@@ -213,6 +221,7 @@ def simulate_traffic(
     capacity_bytes: int = 8192,
     line_size: int = 32,
     context_switch_period: Optional[int] = None,
+    granularity: int = 8,
 ) -> TrafficResult:
     """Run the Table 3/4 traffic comparison over a finished trace."""
     profiler = profiling.active()
@@ -221,6 +230,7 @@ def simulate_traffic(
         capacity_bytes=capacity_bytes,
         line_size=line_size,
         context_switch_period=context_switch_period,
+        granularity=granularity,
     )
     # Pack plain record sequences into columns so one batched consumer
     # covers every caller (the pack cost is paid once per trace and the
@@ -235,7 +245,7 @@ def simulate_traffic(
 
 
 def traffic_size_sweep(
-    trace: List,
+    trace: ColumnarTrace,
     sizes: Iterable[int] = (2048, 4096, 8192),
     line_size: int = 32,
 ) -> List[TrafficResult]:

@@ -12,10 +12,12 @@ the interpretation loop dispatches on small-int comparisons instead of
 opcode strings.  Tracing has two paths:
 
 * a :class:`~repro.trace.columnar.ColumnarTrace` sink appends raw
-  integers straight into the column buffers (no record objects);
-* any other sink receives classic :class:`TraceRecord` objects, so
-  streaming consumers (traffic model, analyses, trace writers) keep
-  working unchanged.
+  integers straight into the column buffers (no record objects), with
+  superblock replay; every production consumer traces this way;
+* any other sink (e.g. a list) receives one :class:`TraceRecord` per
+  instruction from the step-decode loop.  This is the reference
+  emitter the differential tests compare the columns against; no
+  production consumer uses it.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ class Machine:
 
     @staticmethod
     def _decode_record(index, instr):
-        """Static TraceRecord fields for the legacy (object) sink path."""
+        """Static TraceRecord fields for the reference record emitter."""
         dst = instr.destination_register()
         imm = instr.imm if instr.imm is not None else 0
         sp_update = dst == SP
@@ -367,9 +369,11 @@ class Machine:
     ) -> int:
         """Run until ``halt`` or ``max_instructions``.
 
-        ``trace_sink`` is any object with ``append`` (e.g. a list, or a
-        streaming analysis); a :class:`ColumnarTrace` sink takes the
-        packed fast path.  Returns the number of instructions retired.
+        ``trace_sink`` is a :class:`ColumnarTrace` (the packed path
+        every production consumer uses) or, for the reference record
+        emitter the tests compare against, any object with ``append``
+        (e.g. a list).  A later call resumes where the previous one
+        stopped.  Returns the number of instructions retired.
         """
         profiler = profiling.active()
         profile_started = perf_counter() if profiler is not None else 0.0
@@ -680,7 +684,9 @@ def run_program(
     """Run ``program`` to completion (or the instruction limit).
 
     Returns ``(machine, trace)`` where ``trace`` is a list of
-    :class:`TraceRecord` (empty when ``collect_trace`` is False).
+    :class:`TraceRecord` (empty when ``collect_trace`` is False).  The
+    record list is the tests' reference trace; production code runs
+    with ``collect_trace=False`` or traces into a ``ColumnarTrace``.
     """
     machine = Machine(program)
     trace: List[TraceRecord] = []

@@ -23,6 +23,7 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.first_touch import FirstTouchProfile
 from repro.trace.regions import AccessMethod
 from repro.core.traffic import simulate_traffic
@@ -54,7 +55,7 @@ def _suite(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return validate_benchmarks(benchmarks)
 
 
-def _trace_for(benchmark: str, max_instructions: int) -> list:
+def _trace_for(benchmark: str, max_instructions: int) -> ColumnarTrace:
     return cached_trace(workload(benchmark), max_instructions)
 
 

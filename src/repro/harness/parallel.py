@@ -41,7 +41,7 @@ import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -312,6 +312,29 @@ class TraceCache:
 
     def store_section(self, section: str, key: str, payload: Any) -> None:
         self._write(self.section_path_for(section, key), payload, "section")
+
+
+def usable_cache_dir(
+    cache_dir: Optional[str],
+    note: Callable[[str], None],
+    profiler: Optional[profiling.PhaseProfiler] = None,
+) -> Optional[str]:
+    """``cache_dir`` if its cache root can be created, else ``None``.
+
+    Probed before any cell runs.  An unusable root (a regular file in
+    the way, a read-only or full disk) degrades the run to uncached
+    with one warning and one ``cache_disabled`` count.
+    """
+    if not cache_dir:
+        return None
+    try:
+        TraceCache(cache_dir)
+    except OSError as exc:
+        note(f"warning: cache disabled, cannot use {cache_dir}: {exc}")
+        if profiler is not None:
+            profiler.count("cache_disabled")
+        return None
+    return cache_dir
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +824,10 @@ def run_cells(
     """
     cells = list(cells)
     note = progress if progress is not None else (lambda message: None)
+    if options.cache_dir and not usable_cache_dir(
+        options.cache_dir, note, profiling.active()
+    ):
+        options = replace(options, cache_dir=None)
     if options.effective_jobs() == 1 or len(cells) <= 1:
         return _run_serial(cells, options, note)
     return _run_pool(cells, options, note)

@@ -4,10 +4,11 @@ For each workload and each optimization level this driver:
 
 1. compiles the program and computes the per-function static bounds of
    :mod:`repro.analysis.predict`;
-2. executes it on the functional emulator, streaming every record into
-   a :class:`TrafficSimulator` (so full runs need no materialized
-   trace) while counting ``$sp``-relative references and per-function
-   activations (entries into each function's first instruction);
+2. executes it on the functional emulator in fixed windows, feeding
+   each window's columns to a :class:`TrafficSimulator` (so full runs
+   never materialize the whole trace) while counting ``$sp``-relative
+   references and per-function activations (entries into each
+   function's first instruction);
 3. scales each function's per-activation bound by its activation count
    and asserts the soundness inequality **predicted ≥ measured** for
    both counters — fill-reads avoided and writebacks killed.
@@ -20,6 +21,8 @@ outputs, and the bound check at both levels.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -30,29 +33,12 @@ from repro.emulator import Machine
 from repro.emulator.memory import TEXT_BASE
 from repro.isa.registers import SP, V0
 from repro.lang.codegen import CodegenOptions
+from repro.trace.columnar import ColumnarTrace, FLAG_LOAD, FLAG_STORE
 from repro.workloads import ALL_BENCHMARKS, workload
 
 
-class _PredictionSink:
-    """Trace sink: traffic model + $sp counts + activation counts."""
-
-    def __init__(self, traffic: TrafficSimulator, entry_points: Dict[int, str]):
-        self.traffic = traffic
-        self.entry_points = entry_points
-        self.sp_loads = 0
-        self.sp_stores = 0
-        self.activations: Dict[str, int] = {}
-
-    def append(self, record) -> None:
-        self.traffic.append(record)
-        if (record.is_load or record.is_store) and record.base_reg == SP:
-            if record.is_store:
-                self.sp_stores += 1
-            else:
-                self.sp_loads += 1
-        name = self.entry_points.get(record.pc)
-        if name is not None:
-            self.activations[name] = self.activations.get(name, 0) + 1
+#: Emulator window: each window's columns are consumed and dropped.
+_WINDOW = 65_536
 
 
 @dataclass
@@ -206,21 +192,36 @@ def check_workload(
         program = work.program(options)
         pcfg = build_cfg(program)
         prediction = predict_program(program, pcfg)
-        # Trace records carry byte-addressed pcs.
+        # The pc column holds byte addresses.
         entry_points = {
             TEXT_BASE + 4 * f.start: f.name
             for f in pcfg.functions.values()
         }
-        sink = _PredictionSink(
-            TrafficSimulator(capacity_bytes=capacity_bytes), entry_points
-        )
+        traffic = TrafficSimulator(capacity_bytes=capacity_bytes)
         machine = Machine(program)
-        machine.run(max_instructions=max_instructions, trace_sink=sink)
-        result = sink.traffic.result()
+        sp_loads = sp_stores = 0
+        pcs: Counter = Counter()
+        stop = sys.maxsize if max_instructions is None else max_instructions
+        while not machine.halted and machine.instruction_count < stop:
+            window = min(_WINDOW, stop - machine.instruction_count)
+            trace = ColumnarTrace()
+            machine.run(max_instructions=window, trace_sink=trace)
+            traffic.consume_columns(trace)
+            for flags, base in zip(trace.flags, trace.base):
+                if base == SP:
+                    if flags & FLAG_STORE:
+                        sp_stores += 1
+                    elif flags & FLAG_LOAD:
+                        sp_loads += 1
+            pcs.update(trace.pc)
+        result = traffic.result()
+        activations = {
+            name: pcs[pc] for pc, name in entry_points.items() if pcs[pc]
+        }
 
         predicted_fills = predicted_kills = 0
         if prediction.analyzable:
-            for name, count in sink.activations.items():
+            for name, count in activations.items():
                 bounds = prediction.function(name)
                 if bounds is None:
                     continue
@@ -230,12 +231,12 @@ def check_workload(
             opt_level=level,
             instructions=machine.instruction_count,
             halted=machine.halted,
-            sp_loads=sink.sp_loads,
-            sp_stores=sink.sp_stores,
+            sp_loads=sp_loads,
+            sp_stores=sp_stores,
             output=machine.output,
             return_value=machine.registers[V0],
             analyzable=prediction.analyzable,
-            activations=dict(sink.activations),
+            activations=activations,
             predicted_fills_avoided=predicted_fills,
             measured_fills_avoided=result.svf_fills_avoided,
             predicted_writebacks_killed=predicted_kills,

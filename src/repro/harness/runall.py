@@ -48,6 +48,7 @@ from repro.harness.parallel import (
     TaskCell,
     TraceCache,
     run_cells,
+    usable_cache_dir,
 )
 from repro.profiling import PhaseProfiler
 from repro.workloads import input_names, workload
@@ -347,6 +348,7 @@ def generate_report(
     render_started = time.perf_counter()
 
     windows = {"timing": timing_window, "functional": functional_window}
+    cache_dir = usable_cache_dir(cache_dir, note, profiler)
     section_cache: Optional[TraceCache] = None
     section_keys: Dict[str, str] = {}
     reused_parts: Dict[str, Dict[str, str]] = {}

@@ -144,27 +144,25 @@ def _metrics_from_stats(baseline, run) -> Dict[str, Any]:
 
 
 def _traffic_metrics(trace, machine_fields: Mapping[str, Any]) -> Dict:
-    """Walk the trace through a stand-alone SVF; report quad-words."""
-    from repro.core.svf import StackValueFile
-    from repro.trace.regions import is_stack_address
+    """Walk the trace through the traffic model; report SVF quad-words.
 
-    svf = StackValueFile(
+    Only the SVF counters are read.  The stack cache walked alongside
+    gets granule-sized lines, because every capacity the SVF accepts
+    is a multiple of its granule but not necessarily of a 32-byte line.
+    """
+    from repro.core.traffic import simulate_traffic
+
+    granularity = machine_fields["svf_granularity"]
+    result = simulate_traffic(
+        trace,
         capacity_bytes=machine_fields["svf_capacity"],
-        granularity=machine_fields["svf_granularity"],
+        line_size=granularity,
+        granularity=granularity,
     )
-    sp_seen = False
-    for record in trace:
-        if not sp_seen:
-            svf.update_sp(record.sp_value)
-            sp_seen = True
-        if record.is_mem and is_stack_address(record.addr):
-            svf.access(record.addr, record.size, record.is_store)
-        if record.sp_update:
-            svf.update_sp(record.sp_value)
     return {
-        "qw_in": svf.qw_in,
-        "qw_out": svf.qw_out,
-        "qw_total": svf.qw_in + svf.qw_out,
+        "qw_in": result.svf_qw_in,
+        "qw_out": result.svf_qw_out,
+        "qw_total": result.svf_qw_in + result.svf_qw_out,
     }
 
 

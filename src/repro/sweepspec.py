@@ -59,12 +59,12 @@ _TOP_LEVEL_KEYS = (
 )
 
 #: Sweep kinds: ``timing`` runs the out-of-order model (baseline +
-#: variant) per cell; ``traffic`` walks the functional trace through a
-#: stand-alone :class:`repro.core.svf.StackValueFile` and records
+#: variant) per cell; ``traffic`` walks the functional trace through
+#: :func:`repro.core.traffic.simulate_traffic` and records the SVF's
 #: quad-word memory traffic.
 SWEEP_KINDS = ("timing", "traffic")
 
-#: Grid axes a ``traffic`` sweep may vary (the stand-alone SVF walk
+#: Grid axes a ``traffic`` sweep may vary (the traffic model
 #: has no pipeline, so machine-level knobs would silently do nothing).
 _TRAFFIC_AXES = ("svf_capacity", "svf_granularity")
 

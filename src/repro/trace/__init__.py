@@ -2,7 +2,6 @@
 
 from repro.trace.analysis import (
     AccessDistribution,
-    MultiSink,
     OffsetLocality,
     StackDepthProfile,
     consume_trace,
@@ -16,7 +15,6 @@ from repro.trace.columnar import (
 from repro.trace.records import TraceRecord
 from repro.trace.serialization import (
     TraceFormatError,
-    TraceWriter,
     load_trace,
     save_trace,
     write_trace,
@@ -34,14 +32,12 @@ __all__ = [
     "AccessDistribution",
     "AccessMethod",
     "ColumnarTrace",
-    "MultiSink",
     "OffsetLocality",
     "Region",
     "STACK_REGION_FLOOR",
     "StackDepthProfile",
     "TraceFormatError",
     "TraceRecord",
-    "TraceWriter",
     "classify_access",
     "classify_address",
     "consume_trace",

@@ -31,11 +31,13 @@ Column layout (one entry per retired instruction)::
     sp       array('Q')   $sp value at retirement
 
 The record ``index`` is implicit: it is the position in the columns.
-:meth:`records` (and ``__iter__``/``__getitem__``) materialize
-:class:`TraceRecord` views on demand, so every legacy consumer — the
-prediction harness, tests — keeps working on a ``ColumnarTrace``
-unchanged; the Figure 1-3 analyses consume columns in batch (see
-:mod:`repro.trace.analysis`).
+Every production consumer reads the columns directly: the timing and
+traffic models, the Figure 1-3 analyses (see
+:mod:`repro.trace.analysis`), the sweep and prediction harnesses and
+serialization.  :meth:`record_at` (and :meth:`records`,
+``__iter__``/``__getitem__``) materialize :class:`TraceRecord` views
+on demand; they are the reference view the differential tests compare
+against, and no production code uses them.
 
 When numpy is importable, :meth:`ColumnarTrace.as_arrays` additionally
 exposes the columns as zero-copy ``ndarray`` views (the optional
@@ -169,9 +171,10 @@ _FIELDS = (
 class ColumnarTrace:
     """A dynamic instruction trace stored column-wise.
 
-    Implements the trace-sink protocol (``append``) for legacy
-    producers and the sequence protocol (``len``/``iter``/indexing)
-    for legacy consumers; the hot paths bypass both and touch the
+    Implements the trace-sink protocol (``append``, which packs one
+    :class:`TraceRecord`) and the sequence protocol
+    (``len``/``iter``/indexing, which materialize records) for the
+    tests' record-based reference paths; production code touches the
     columns directly.
     """
 
@@ -274,7 +277,7 @@ class ColumnarTrace:
 
     # ------------------------------------------------------------ view
     def record_at(self, index: int) -> TraceRecord:
-        """Materialize the record at ``index`` (no bounds wrapping)."""
+        """Materialize the record at ``index`` (the tests' reference view)."""
         flags = self.flags[index]
         nsrc = self.nsrc[index]
         if nsrc == 0:

@@ -50,6 +50,7 @@ class FirstTouchProfile:
     other_first_loads: int = 0
 
     def append(self, record: TraceRecord) -> None:
+        """Reference walk: one record (``consume_columns`` must match)."""
         if self._previous_sp == 0:
             self._previous_sp = record.sp_value
         if record.is_load or record.is_store:

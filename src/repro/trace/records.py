@@ -1,7 +1,12 @@
-"""Dynamic-instruction trace records.
+"""Dynamic-instruction trace records: the tests' reference shape.
 
-The functional emulator emits one :class:`TraceRecord` per retired
-instruction.  A record carries everything the downstream consumers need:
+Production code keeps traces as columns
+(:class:`~repro.trace.columnar.ColumnarTrace`).  A :class:`TraceRecord`
+is the same information for one retired instruction as an object; the
+emulator's reference emitter and ``ColumnarTrace.record_at`` build
+them so the differential tests can check every column walk against a
+record-at-a-time walk.  A record carries everything the downstream
+consumers need:
 
 * the timing model (``repro.uarch``) uses the register source/dest sets,
   op class, memory address and branch outcome;
@@ -10,7 +15,7 @@ instruction.  A record carries everything the downstream consumers need:
 * the SVF/stack-cache traffic models (Table 3/4) use addresses, sizes
   and the ``sp_update`` markers.
 
-Records use ``__slots__``: a run produces 10^5-10^6 of them.
+Records use ``__slots__``: a reference run produces 10^5-10^6 of them.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from repro.emulator.memory import STACK_BASE
 from repro.isa import assemble
 from repro.trace.analysis import (
     AccessDistribution,
-    MultiSink,
     OffsetLocality,
     StackDepthProfile,
     consume_trace,
@@ -200,32 +199,6 @@ class TestTrafficDifferential:
 
 
 class TestConsumeTraceDispatcher:
-    def test_legacy_append_only_sinks_get_records(self):
-        trace = _trace("mcf")
-        collected = []
-        fed = consume_trace(trace, (collected,))
-        assert fed == len(trace)
-        assert trace == collected
-
-    def test_multisink_mixes_batched_and_legacy(self):
-        trace = _trace("gzip")
-        distribution = AccessDistribution()
-        collected = []
-        sink = MultiSink(distribution, collected, keep=True)
-        sink.consume_columns(trace)
-        assert distribution.total_instructions == len(trace)
-        assert trace == collected
-        assert trace == sink.records
-
-    def test_plain_sequence_input(self):
-        trace = _trace("mcf")
-        records = list(trace.records())
-        batched, legacy = AccessDistribution(), AccessDistribution()
-        consume_trace(records, (batched,))
-        for record in records:
-            legacy.append(record)
-        assert batched == legacy
-
     def test_notes_analysis_phase(self):
         from repro import profiling
 

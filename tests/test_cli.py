@@ -99,6 +99,31 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+class TestNonPositiveWindows:
+    """Windows and instruction caps below 1 are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "gzip", "--max-instructions", "0"],
+        ["characterize", "--max-instructions", "-1"],
+        ["simulate", "gzip", "--max-instructions", "0"],
+        ["compile", "p.mc", "--max-instructions", "0"],
+        ["certify", "gzip", "--max-instructions", "0"],
+        ["chaos", "--timing-window", "0"],
+        ["chaos", "--functional-window", "-1"],
+        ["experiment", "fig5", "--window", "0"],
+        ["report", "--timing-window", "-5"],
+        ["report", "--functional-window", "0"],
+        ["profile", "gzip", "--max-instructions", "0"],
+        ["predict", "--max-instructions", "-3"],
+        ["trace", "gzip", "t.svft", "--max-instructions", "0"],
+    ])
+    def test_rejected_by_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+
 class TestCharacterize:
     def test_single_workload(self, capsys):
         assert main(

@@ -34,6 +34,7 @@ from repro.harness.parallel import (
     run_cells,
 )
 from repro.harness.runall import generate_report
+from repro.profiling import PhaseProfiler
 from repro.workloads import clear_trace_cache, validate_benchmarks, workload
 
 
@@ -230,6 +231,39 @@ class TestReportDeterminism:
             benchmarks=["gzip"], jobs=2, cache_dir=None, **self.WINDOWS,
         )
         assert cached_off == pooled
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unusable_cache_dir_runs_uncached(self, tmp_path, jobs):
+        # A regular file where the cache root should go: mkdir fails
+        # with ENOTDIR even for root, where a chmod-based test would
+        # pass vacuously.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        notes = []
+        profiler = PhaseProfiler()
+        degraded = generate_report(
+            benchmarks=["gzip"], jobs=jobs, cache_dir=str(blocker),
+            progress=notes.append, profiler=profiler, incremental=True,
+            **self.WINDOWS,
+        )
+        uncached = generate_report(
+            benchmarks=["gzip"], jobs=1, cache_dir=None, **self.WINDOWS,
+        )
+        assert degraded == uncached
+        assert sum("cache disabled" in note for note in notes) == 1
+        assert profiler.counters["cache_disabled"] == 1
+
+    def test_engine_probes_the_cache_root(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        notes = []
+        (outcome,) = run_cells(
+            [TaskCell("fig5", "164.gzip", 1_000)],
+            EngineOptions(jobs=1, cache_dir=str(blocker)),
+            progress=notes.append,
+        )
+        assert outcome.ok, outcome.error
+        assert sum("cache disabled" in note for note in notes) == 1
 
     def test_warm_cache_changes_nothing(self, tmp_path):
         cold = generate_report(

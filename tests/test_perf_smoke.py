@@ -4,8 +4,8 @@ Not a benchmark — a regression tripwire.  The budgets are ~10× the
 wall times measured on the slowest supported host (one CPU core, no
 turbo), so they only fire when a hot loop falls off the packed path
 entirely (e.g. someone reintroduces per-record object construction in
-``Machine.run`` or the timing consume loop).  Real measurements live
-in ``benchmarks/measure_core.py`` / ``benchmarks/results/``.
+``Machine.run`` or the timing consume loop).  Real measurements come
+from the repository benchmark (``perfbench/``).
 """
 
 from time import perf_counter

@@ -132,6 +132,16 @@ def test_option_objects_are_frozen_with_stable_defaults():
         api.CompileOptions(opt_level=7)
 
 
+@pytest.mark.parametrize(
+    "field", ["timing_window", "functional_window"]
+)
+def test_report_options_reject_non_positive_windows(field):
+    from repro import api
+
+    with pytest.raises(ValueError, match="positive integer"):
+        api.ReportOptions(**{field: 0})
+
+
 def test_machine_spec_materializes_table2_config():
     from repro import api
 
