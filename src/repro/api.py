@@ -28,6 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.lint import lint_all, lint_program, lint_workload
 from repro.errors import UsageError
 from repro.analysis.report import LintReport
+from repro.core.stack_cache import check_geometry as check_stack_cache
+from repro.core.svf import check_geometry as check_svf
 from repro.harness.experiments import (
     CharacterizationResult,
     characterize as _characterize,
@@ -646,6 +648,13 @@ def predict(
 
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be >= 1, not {jobs!r}")
+    try:
+        # The geometry TrafficSimulator builds: 8-byte SVF granules and
+        # a stack cache with 32-byte lines.
+        check_svf(capacity_bytes, 8)
+        check_stack_cache(capacity_bytes, 32)
+    except ValueError as exc:
+        raise UsageError(f"invalid traffic geometry: {exc}") from None
     resolved = validate_benchmarks(benchmarks) if benchmarks else None
     return traffic_prediction_report(
         benchmarks=resolved,

@@ -474,26 +474,24 @@ def cmd_characterize(args) -> int:
     return 0
 
 
+def _check_machine(spec: "api.MachineSpec") -> None:
+    """Reject a machine the timing model cannot build, before any work."""
+    try:
+        spec.config()
+    except ValueError as exc:
+        raise UsageError(f"invalid machine: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     try:
         work = workload(args.workload, args.input)
     except KeyError as exc:
         return _fail(exc.args[0])
-    options = _compile_options(args)
-    trace = work.trace(
-        max_instructions=args.max_instructions, options=options.codegen()
-    )
     base_spec = api.MachineSpec(
         width=args.width,
         dl1_ports=args.dl1_ports,
         branch_predictor=args.predictor,
     )
-    baseline = api.simulate(trace, base_spec)
-    print(f"{work.full_name} on {base_spec.config().name} "
-          f"({len(trace):,}-instruction window)")
-    print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
-    if args.svf == "none":
-        return 0
     spec = api.MachineSpec(
         width=args.width,
         dl1_ports=args.dl1_ports,
@@ -503,6 +501,17 @@ def cmd_simulate(args) -> int:
         svf_capacity=args.capacity,
         no_squash=args.no_squash,
     )
+    _check_machine(spec)
+    options = _compile_options(args)
+    trace = work.trace(
+        max_instructions=args.max_instructions, options=options.codegen()
+    )
+    baseline = api.simulate(trace, base_spec)
+    print(f"{work.full_name} on {base_spec.config().name} "
+          f"({len(trace):,}-instruction window)")
+    print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
+    if args.svf == "none":
+        return 0
     run = api.simulate(trace, spec)
     speedup = run.speedup_over(baseline)
     print(f"{args.svf:8s}: {run.cycles:,} cycles, IPC {run.ipc:.2f}, "
@@ -847,6 +856,10 @@ def cmd_trace(args) -> int:
 def cmd_replay(args) -> int:
     from repro.trace import load_trace
 
+    spec = api.MachineSpec(
+        width=args.width, svf_mode=args.svf, svf_ports=args.ports
+    )
+    _check_machine(spec)
     try:
         trace = load_trace(args.trace_file)
     except FileNotFoundError:
@@ -856,12 +869,7 @@ def cmd_replay(args) -> int:
     print(f"{args.trace_file}: {len(trace):,} instructions")
     print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
     if args.svf != "none":
-        run = api.simulate(
-            trace,
-            api.MachineSpec(
-                width=args.width, svf_mode=args.svf, svf_ports=args.ports
-            ),
-        )
+        run = api.simulate(trace, spec)
         speedup = run.speedup_over(baseline)
         print(f"{args.svf}: {run.cycles:,} cycles, "
               f"speedup {(speedup - 1) * 100:+.1f}%")

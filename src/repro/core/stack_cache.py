@@ -37,12 +37,20 @@ class StackCacheAccess:
 _HIT = StackCacheAccess(hit=True)
 
 
+def check_geometry(capacity_bytes: int, line_size: int) -> None:
+    """Raise ``ValueError`` unless a stack cache can have this geometry."""
+    if capacity_bytes <= 0 or capacity_bytes % line_size:
+        raise ValueError(
+            f"capacity must be a positive multiple of the line "
+            f"({line_size}), not {capacity_bytes}"
+        )
+
+
 class StackCache:
     """Direct-mapped decoupled stack cache."""
 
     def __init__(self, capacity_bytes: int = 8192, line_size: int = 32):
-        if capacity_bytes % line_size != 0 or capacity_bytes <= 0:
-            raise ValueError("capacity must be a positive multiple of line")
+        check_geometry(capacity_bytes, line_size)
         self.capacity = capacity_bytes
         self.line_size = line_size
         self.num_lines = capacity_bytes // line_size

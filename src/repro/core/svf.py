@@ -49,6 +49,24 @@ _OUT_OF_RANGE = SVFAccess(in_range=False)
 _HIT = SVFAccess(in_range=True, hit=True)
 
 
+def check_geometry(capacity_bytes: int, granularity: int) -> None:
+    """Raise ``ValueError`` unless an SVF can have this geometry.
+
+    Granules are found by masking low address bits, so the granularity
+    must be a power of two (and at least one 8-byte word).
+    """
+    if granularity < StackValueFile.WORD or granularity & (granularity - 1):
+        raise ValueError(
+            f"granularity must be a power of two of at least 8 bytes, "
+            f"not {granularity}"
+        )
+    if capacity_bytes <= 0 or capacity_bytes % granularity:
+        raise ValueError(
+            f"capacity must be a positive multiple of the granularity "
+            f"({granularity}), not {capacity_bytes}"
+        )
+
+
 class StackValueFile:
     """Circular-buffer stack value file with per-word valid/dirty bits.
 
@@ -67,12 +85,7 @@ class StackValueFile:
         page_size: int = 4096,
         granularity: int = 8,
     ):
-        if granularity % self.WORD != 0 or granularity <= 0:
-            raise ValueError("granularity must be a positive multiple of 8")
-        if capacity_bytes % granularity != 0 or capacity_bytes <= 0:
-            raise ValueError(
-                "capacity must be a positive multiple of the granularity"
-            )
+        check_geometry(capacity_bytes, granularity)
         self.granularity = granularity
         self.capacity = capacity_bytes
         self._granule_mask = ~(granularity - 1)

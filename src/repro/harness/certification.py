@@ -143,7 +143,8 @@ def validate_certificate(certificate: ProgramCertificate,
                          halted: bool = True) -> ValidationResult:
     """Check one certificate against one execution trace."""
     if len(trace):
-        floor = min(trace.sp)
+        arrays = trace.as_arrays()
+        floor = min(trace.sp) if arrays is None else int(arrays.sp.min())
         observed_depth = STACK_BASE - floor
     else:
         floor = STACK_BASE

@@ -97,6 +97,9 @@ class CacheStats:
     served, while a **transient** I/O error (EINTR, a permission blip,
     a reader racing a writer) leaves the entry on disk — it may be
     perfectly valid for the next reader.  Both degrade to a miss.
+    ``write_errors`` counts writes that failed and were skipped (a
+    read-only or full disk, an unpicklable payload): the value is
+    simply not cached.
     """
 
     hits: int = 0
@@ -110,6 +113,7 @@ class CacheStats:
     section_stores: int = 0
     corrupt_dropped: int = 0
     transient_errors: int = 0
+    write_errors: int = 0
 
 
 #: distinguishes "entry absent" from a legitimately-None payload.
@@ -221,23 +225,39 @@ class TraceCache:
         return value
 
     def _write(self, path: Path, value: Any, kind: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
-        )
-        try:
+        def write(handle) -> None:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(hashlib.sha256(blob).digest())
+            handle.write(blob)
+
+        if self._write_atomically(path, write):
+            self._bump(kind, "stores")
+
+    def _write_atomically(self, path: Path, write) -> bool:
+        """Temp file + ``os.replace``; False (and counted) on failure.
+
+        Every disk call is inside the ``try``: a disk that turns
+        read-only or full after :func:`usable_cache_dir` probed it
+        costs the entry, never the cell.
+        """
+        temp_path = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            descriptor, temp_path = tempfile.mkstemp(
+                dir=str(path.parent), suffix=".tmp"
+            )
             with os.fdopen(descriptor, "wb") as handle:
-                handle.write(hashlib.sha256(blob).digest())
-                handle.write(blob)
+                write(handle)
             os.replace(temp_path, path)
         except Exception:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            return
-        self._bump(kind, "stores")
+            self.stats.write_errors += 1
+            if temp_path is not None:
+                try:
+                    os.unlink(temp_path)
+                except OSError:
+                    pass
+            return False
+        return True
 
     def _bump(self, kind: str, event: str) -> None:
         setattr(
@@ -273,22 +293,10 @@ class TraceCache:
 
     def store(self, key, trace) -> None:
         """Atomically persist a trace in the columnar binary format."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                write_trace(handle, trace)
-            os.replace(temp_path, path)
-        except Exception:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            return
-        self.stats.stores += 1
+        if self._write_atomically(
+            self.path_for(key), lambda handle: write_trace(handle, trace)
+        ):
+            self.stats.stores += 1
 
     def load_cell(self, cell: "TaskCell") -> Any:
         """Finished payload for ``cell``, or the ``_MISS`` sentinel."""

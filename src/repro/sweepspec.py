@@ -426,13 +426,20 @@ def parse_suite(data: Any, source: str = "<memory>") -> SweepSpec:
 
 def _validate_machines(spec: SweepSpec) -> None:
     """Materialize every grid point eagerly so a bad field value
-    (e.g. width 12, svf_mode 'bogus') fails before any cell runs."""
+    (e.g. width 12, svf_mode 'bogus', an SVF capacity that is not a
+    multiple of its granularity) fails before any cell runs."""
+    from repro.api import MachineSpec
+    from repro.core.svf import check_geometry
+
     for combo in spec.combos():
         resolved = dict(spec.resolved_machine(combo))
         try:
-            from repro.api import MachineSpec
-
             MachineSpec(**resolved).config()
+            if spec.kind == "traffic":
+                # The traffic model builds its SVF whatever svf_mode is.
+                check_geometry(
+                    resolved["svf_capacity"], resolved["svf_granularity"]
+                )
         except (TypeError, ValueError) as exc:
             where = (
                 ", ".join(f"{axis}={value}" for axis, value in combo)

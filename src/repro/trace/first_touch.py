@@ -13,6 +13,28 @@ events via ``$sp`` decreases and classifies the first reference to
 each newly exposed quad-word.  For contrast it also classifies first
 touches to non-stack (global/heap) words, where loads come first far
 more often.
+
+``append`` is the reference state machine; ``consume_columns`` has a
+python walk of the same machine and, with numpy, a vectorized leg that
+needs no per-row state because the machine has a closed form.  While
+every ``$sp`` update is aligned and nonzero, a stack access on row
+``i`` to word ``w`` is a first touch iff all of these hold:
+
+* ``w`` is at or above ``$sp`` at row ``i`` (deallocation dropped
+  every pending word below it);
+* take the last ``$sp`` update ``t`` before row ``i`` whose pre-update
+  ``$sp`` was above ``w``: it exposed ``w``, i.e. ``w < new_sp[t] +
+  8 * min((prev_sp[t] - new_sp[t]) // 8, allocation_cap)``;
+* no access to ``w`` falls on a row after ``t`` and before ``i`` (an
+  access on row ``t`` itself precedes that row's update);
+* if there is no such ``t``, ``w`` was pending when the chunk began
+  and nothing touched it earlier in the chunk.
+
+``t`` is found for all accesses at once with a sparse-table max over
+the pre-update ``$sp`` values (binary lifting).  The pending set at a
+chunk's end is the same rule with the end as the access row, over the
+words between the final ``$sp`` and the highest ``$sp`` of the chunk.
+Non-stack first touches are the first occurrence of each word.
 """
 
 from __future__ import annotations
@@ -30,6 +52,87 @@ from repro.trace.regions import STACK_REGION_FLOOR, is_stack_address
 _TOUCH_ROWS = bytes(1 if flags & 0b100011 else 0 for flags in range(256))
 
 
+#: Most rows one vectorized pass takes; bounds the sparse table.
+_SLAB_ROWS = 1 << 20
+
+#: Fewest rows worth a vectorized pass: below this the fixed cost of
+#: its numpy calls outweighs the python walk (on an eon trace the
+#: crossover was 2-4k rows; 2-CPU x86-64, CPython 3.11, numpy 2.4).
+_MIN_ARRAY_ROWS = 4096
+
+
+def _max_table(values):
+    """Sparse table: level ``j`` holds ``max(values[x : x + 2**j])``."""
+    import numpy as np
+
+    levels = [values] if len(values) else []
+    step = 1
+    while 2 * step <= len(values):
+        level = levels[-1]
+        levels.append(np.maximum(level[:-step], level[step:]))
+        step *= 2
+    return levels
+
+
+def _last_above(levels, end, words):
+    """Per query, the last index below ``end`` whose value exceeds
+    ``word`` (-1: none): binary lifting over ``_max_table`` levels."""
+    import numpy as np
+
+    position = end
+    for level in range(len(levels) - 1, -1, -1):
+        start = position - (1 << level)
+        block_max = levels[level][np.maximum(start, 0)]
+        position = np.where(
+            (start >= 0) & (block_max <= words), start, position
+        )
+    return position - 1
+
+
+def _slot(sorted_values, values):
+    """Per value, the index of its match in a sorted, non-empty array
+    if it has one (check ``sorted_values[slot] == value``)."""
+    import numpy as np
+
+    return np.minimum(
+        np.searchsorted(sorted_values, values), len(sorted_values) - 1
+    )
+
+
+def _exposed_end(prev_sps, new_sps, cap):
+    """One past the highest word each ``$sp`` update exposes."""
+    import numpy as np
+
+    gap = np.where(prev_sps > new_sps, prev_sps - new_sps, 0)
+    return new_sps + (np.minimum(gap >> 3, cap) << 3)
+
+
+def _governed_exposures(prev_sps, new_sps, cap):
+    """Per update, the exposed words it still governs at the end.
+
+    A word ``w`` at or above the final ``$sp`` is governed by the last
+    update whose pre-update ``$sp`` lies above it.  That update is
+    ``k`` for ``w`` in ``[max(prev_sps[k+1:], final $sp), prev_sps[k])``;
+    this returns the words of those ranges that update ``k`` exposed,
+    with ``k`` for each.
+    """
+    import numpy as np
+
+    if not len(prev_sps):
+        return np.empty(0, np.uint64), np.empty(0, np.int64)
+    floor = np.empty_like(prev_sps)
+    floor[:-1] = np.maximum.accumulate(prev_sps[:0:-1])[::-1]
+    floor[-1] = 0
+    lower = np.maximum(np.maximum(floor, new_sps[-1]), new_sps)
+    upper = _exposed_end(prev_sps, new_sps, cap)
+    counts = np.where(upper > lower, (upper - lower) >> 3, 0).astype(np.int64)
+    exposer = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(len(exposer)) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return lower[exposer] + (offsets.astype(np.uint64) << 3), exposer
+
+
 @dataclass
 class FirstTouchProfile:
     """Streaming trace sink measuring first-touch store fractions."""
@@ -41,7 +144,8 @@ class FirstTouchProfile:
     #: max words tracked per allocation (guards giant frames)
     allocation_cap: int = 4096
     #: every pending word is 8-aligned and at or above ``_previous_sp``
-    #: (lets ``consume_columns`` drop a frame by range)
+    #: (lets the python walk drop a frame by range, and the numpy leg
+    #: apply its closed form)
     _ranges_exact: bool = True
 
     stack_first_stores: int = 0
@@ -89,12 +193,31 @@ class FirstTouchProfile:
     ) -> None:
         """Batched form of ``append`` over ``trace[lo:hi)``.
 
-        This analysis is an inherently sequential state machine (each
-        instruction's effect depends on the pending-word set left by
-        all earlier ones), so there is no vectorized variant.  The
-        batched walk visits only load, store and ``$sp``-update rows
-        (picked with a ``bytes.translate`` mask), and does a frame's
-        worth of pending words per set operation:
+        Walks the numpy column views in slabs of at most
+        ``_SLAB_ROWS`` rows (which bounds the sparse table's memory).
+        A slab the vectorized rule does not cover, one shorter than
+        ``_MIN_ARRAY_ROWS``, and every slab without numpy go to the
+        python walk; the two legs hand each other the same state, so
+        chunks compose whichever leg each one takes.
+        """
+        hi = len(trace) if hi is None else min(hi, len(trace))
+        arrays = trace.as_arrays()
+        if arrays is None:
+            self._consume_python(trace, lo, hi)
+            return
+        for start in range(lo, hi, _SLAB_ROWS):
+            end = min(start + _SLAB_ROWS, hi)
+            if end - start < _MIN_ARRAY_ROWS or not self._consume_arrays(
+                arrays, start, end
+            ):
+                self._consume_python(trace, start, end)
+
+    def _consume_python(self, trace: ColumnarTrace, lo: int, hi: int) -> None:
+        """Reference batched walk: ``append``'s state machine per row.
+
+        It visits only load, store and ``$sp``-update rows (picked
+        with a ``bytes.translate`` mask), and does a frame's worth of
+        pending words per set operation:
 
         * an allocation adds its exposed words with one ``update``;
         * a deallocation to ``new_sp`` drops the words below it.  Every
@@ -106,7 +229,6 @@ class FirstTouchProfile:
           or ``$sp`` was re-read after reaching 0), it scans the
           pending set as ``append`` does.
         """
-        hi = len(trace) if hi is None else hi
         col_flags = trace.flags
         col_addr = trace.addr
         col_sp = trace.sp
@@ -178,6 +300,119 @@ class FirstTouchProfile:
         self.stack_first_loads += stack_loads
         self.other_first_stores += other_stores
         self.other_first_loads += other_loads
+
+    def _consume_arrays(self, arrays, lo: int, hi: int) -> bool:
+        """Vectorized batched path over rows [lo, hi) of the views.
+
+        Applies the first-touch rule of the module docstring to every
+        access at once.  Returns False, having changed nothing, where
+        the python walk special-cases a row: the rule assumes aligned,
+        nonzero ``$sp`` updates and a pending set at or above ``$sp``.
+        """
+        import numpy as np
+
+        pending = self._pending
+        previous_sp = self._previous_sp
+        if previous_sp == 0:
+            previous_sp = int(arrays.sp[lo])
+            if previous_sp == 0 or (pending and min(pending) < previous_sp):
+                return False
+        if not self._ranges_exact:
+            return False
+        flags = arrays.flags[lo:hi]
+        update_rows = np.flatnonzero(flags & 32)
+        # sps[k] is $sp before update k; sps[-1] is $sp after the last.
+        sps = np.empty(len(update_rows) + 1, dtype=np.uint64)
+        sps[0] = previous_sp
+        sps[1:] = arrays.sp[lo:hi][update_rows]
+        prev_sps, new_sps = sps[:-1], sps[1:]
+        if (new_sps & 7).any() or not new_sps.all():
+            return False
+        self._previous_sp = int(sps[-1])
+        access = np.flatnonzero(flags & 3)
+        if not len(access) and not len(update_rows):
+            return True
+        cap = self.allocation_cap
+        addr = arrays.addr[lo:hi][access]
+        words = addr - (addr & 7)
+        is_store = (flags[access] & 2) != 0
+        stack = addr >= STACK_REGION_FLOOR
+
+        if not stack.all():
+            # Non-stack words: the first access of the slab counts
+            # unless an earlier slab saw the word.
+            other = ~stack
+            other_words, first_index = np.unique(
+                words[other], return_index=True
+            )
+            seen_other = self._seen_other
+            fresh = np.array(
+                [word not in seen_other for word in other_words.tolist()],
+                dtype=bool,
+            )
+            fresh_stores = int(is_store[other][first_index[fresh]].sum())
+            self.other_first_stores += fresh_stores
+            self.other_first_loads += int(fresh.sum()) - fresh_stores
+            seen_other.update(
+                dict.fromkeys(other_words[fresh].tolist(), True)
+            )
+            rows = access[stack]
+            words, is_store = words[stack], is_store[stack]
+        else:
+            rows = access
+
+        # Each stack access's previous access to the same word (row -1:
+        # none), from a stable sort by word.
+        order = np.argsort(words, kind="stable")
+        sorted_words = words[order]
+        same = sorted_words[1:] == sorted_words[:-1]
+        previous_row = np.full(len(rows), -1, dtype=np.int64)
+        previous_row[order[1:][same]] = rows[order[:-1][same]]
+
+        before = np.searchsorted(update_rows, rows)
+        live = np.flatnonzero(words >= sps[before])
+        live_words = words[live]
+        exposer = _last_above(_max_table(prev_sps), before[live], live_words)
+        carried = exposer < 0
+        exposed = np.empty(len(live), dtype=bool)
+        exposed[carried] = [
+            word in pending for word in live_words[carried].tolist()
+        ]
+        by = exposer[~carried]
+        exposed[~carried] = live_words[~carried] < _exposed_end(
+            prev_sps[by], new_sps[by], cap
+        )
+        exposer_row = np.full(len(live), -1, dtype=np.int64)
+        exposer_row[~carried] = update_rows[by]
+        first = exposed & (previous_row[live] <= exposer_row)
+        first_stores = int(is_store[live][first].sum())
+        self.stack_first_stores += first_stores
+        self.stack_first_loads += int(first.sum()) - first_stores
+
+        # Pending words at the slab's end: the same rule, with the end
+        # of the slab as the access row.
+        last = np.flatnonzero(np.append(~same, True))[: len(words)]
+        touched = sorted_words[last]
+        last_row = rows[order[last]]
+        if pending:
+            # Carried words stay unless accessed or below the highest
+            # $sp of the slab (re-exposed ones are added back below).
+            carried_words = np.fromiter(pending, np.uint64, len(pending))
+            dropped = carried_words < sps.max()
+            if len(touched):
+                dropped |= touched[_slot(touched, carried_words)] == (
+                    carried_words
+                )
+            pending.difference_update(carried_words[dropped].tolist())
+        exposed_words, exposer = _governed_exposures(prev_sps, new_sps, cap)
+        if len(touched) and len(exposed_words):
+            slot = _slot(touched, exposed_words)
+            consumed = (touched[slot] == exposed_words) & (
+                last_row[slot] > update_rows[exposer]
+            )
+            exposed_words = exposed_words[~consumed]
+        pending.update(exposed_words.tolist())
+        return True
 
     def _reset_sp(self, col_sp, lo, hi, ranges_exact):
         """``append``'s zero-``previous_sp`` reset over rows [lo, hi).

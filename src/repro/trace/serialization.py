@@ -25,8 +25,9 @@ just the columns back to back::
     next_pc count * 8 bytes, little-endian uint64
     sp      count * 8 bytes, little-endian uint64
 
-One ``tobytes``/``frombytes`` per column replaces one ``struct`` call
-per record, so saving/loading is dominated by raw I/O.  The magic
+Each column is written from a ``memoryview`` of its buffer and read
+back with one ``readinto`` into its new buffer, so saving/loading is
+raw I/O plus the CRC, with no intermediate copy.  The magic
 header guards against version skew: files written by the old formats
 (``SVFT\\x02`` records, ``SVFT\\x03`` checksum-less columns) are
 rejected, not misread.  The CRC covers the count and every column, so
@@ -37,6 +38,7 @@ injects exactly that fault to prove it).
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 import zlib
@@ -50,6 +52,7 @@ MAGIC = b"SVFT\x04\x00"
 
 _COUNT = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
+_HEADER_SIZE = len(MAGIC) + _CRC.size + _COUNT.size
 
 #: (column name, array typecode or None for bytearray) in file order.
 COLUMN_LAYOUT = (
@@ -69,21 +72,29 @@ COLUMN_LAYOUT = (
     ("sp", "Q"),
 )
 
+#: File (and shared-buffer) bytes per record, all columns together.
+_BYTES_PER_RECORD = sum(
+    1 if typecode is None else array(typecode).itemsize
+    for _, typecode in COLUMN_LAYOUT
+)
+
 _BIG_ENDIAN = sys.byteorder == "big"
+
+#: Every opcode number a trace may hold (``bytes.translate`` deletes).
+_VALID_OPCODES = bytes(sorted(OPCODE_NAMES))
 
 
 class TraceFormatError(ValueError):
     """Raised when a file is not a valid serialized trace."""
 
 
-def _column_to_bytes(column) -> bytes:
-    if isinstance(column, bytearray):
-        return bytes(column)
-    if _BIG_ENDIAN:  # pragma: no cover - little-endian hosts only in CI
+def _column_to_bytes(column) -> memoryview:
+    """The column's bytes in file (little-endian) order, uncopied."""
+    if _BIG_ENDIAN and not isinstance(column, bytearray):  # pragma: no cover
         swapped = array(column.typecode, column)
         swapped.byteswap()
-        return swapped.tobytes()
-    return column.tobytes()
+        column = swapped
+    return memoryview(column).cast("B")
 
 
 def _write_columns(stream: BinaryIO, trace: ColumnarTrace) -> int:
@@ -137,11 +148,6 @@ _SHARED_HEADER = 16
 #: Buffer column order: wide columns first (alignment), then bytes.
 SHARED_ORDER = tuple(
     sorted(COLUMN_LAYOUT, key=lambda item: item[1] is None)
-)
-
-_BYTES_PER_RECORD = sum(
-    1 if typecode is None else array(typecode).itemsize
-    for _, typecode in COLUMN_LAYOUT
 )
 
 
@@ -208,39 +214,47 @@ def unpack_shared(buffer):
 
 
 def load_trace(path: str) -> ColumnarTrace:
-    """Read a trace written by :func:`save_trace` / :func:`write_trace`."""
+    """Read a trace written by :func:`save_trace` / :func:`write_trace`.
+
+    A well-formed file is read straight into freshly allocated columns
+    (``readinto``; no whole-file blob), with the CRC chained over them.
+    A file whose size disagrees with its record count is read whole
+    only to pick the message: a checksum mismatch first, as for any
+    corrupt file, else truncated or trailing bytes.
+    """
     with open(path, "rb") as stream:
-        blob = stream.read()
-    header_size = len(MAGIC) + _CRC.size + _COUNT.size
-    if blob[: len(MAGIC)] != MAGIC or len(blob) < header_size:
-        raise TraceFormatError(f"bad trace header in {path!r}")
-    (crc,) = _CRC.unpack_from(blob, len(MAGIC))
-    if zlib.crc32(memoryview(blob)[len(MAGIC) + _CRC.size:]) != crc:
-        raise TraceFormatError(f"checksum mismatch in {path!r}")
-    (count,) = _COUNT.unpack_from(blob, len(MAGIC) + _CRC.size)
-    trace = ColumnarTrace()
-    offset = header_size
-    for name, typecode in COLUMN_LAYOUT:
-        if typecode is None:
-            width = count
-            column = bytearray(blob[offset : offset + width])
-        else:
-            column = array(typecode)
-            width = count * column.itemsize
-            if len(blob) - offset < width:
+        header = stream.read(_HEADER_SIZE)
+        if header[: len(MAGIC)] != MAGIC or len(header) < _HEADER_SIZE:
+            raise TraceFormatError(f"bad trace header in {path!r}")
+        (crc,) = _CRC.unpack_from(header, len(MAGIC))
+        (count,) = _COUNT.unpack_from(header, len(MAGIC) + _CRC.size)
+        running = zlib.crc32(header[len(MAGIC) + _CRC.size :])
+        body = os.fstat(stream.fileno()).st_size - _HEADER_SIZE
+        expected = count * _BYTES_PER_RECORD
+        if body != expected:
+            if zlib.crc32(stream.read(), running) != crc:
+                raise TraceFormatError(f"checksum mismatch in {path!r}")
+            if body < expected:
                 raise TraceFormatError(f"truncated trace file {path!r}")
-            column.frombytes(blob[offset : offset + width])
-            if _BIG_ENDIAN:  # pragma: no cover
+            raise TraceFormatError(f"trailing bytes in trace file {path!r}")
+        trace = ColumnarTrace()
+        for name, typecode in COLUMN_LAYOUT:
+            if typecode is None:
+                column = bytearray(count)
+            else:
+                column = array(typecode, [0]) * count
+            view = memoryview(column).cast("B")
+            if stream.readinto(view) != len(view):
+                raise TraceFormatError(f"truncated trace file {path!r}")
+            running = zlib.crc32(view, running)
+            view.release()
+            if _BIG_ENDIAN and typecode is not None:  # pragma: no cover
                 column.byteswap()
-        if len(column) != count:
-            raise TraceFormatError(f"truncated trace file {path!r}")
-        setattr(trace, name, column)
-        offset += width
-    if offset != len(blob):
-        raise TraceFormatError(f"trailing bytes in trace file {path!r}")
-    for opcode in trace.opcode:
-        if opcode not in OPCODE_NAMES:
-            raise TraceFormatError(
-                f"bad opcode {opcode} in trace file {path!r}"
-            )
+            setattr(trace, name, column)
+    if running != crc:
+        raise TraceFormatError(f"checksum mismatch in {path!r}")
+    # What survives deleting every valid opcode is bad, in trace order.
+    bad = trace.opcode.translate(None, _VALID_OPCODES)
+    if bad:
+        raise TraceFormatError(f"bad opcode {bad[0]} in trace file {path!r}")
     return trace

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.stack_cache import check_geometry as check_stack_cache
+from repro.core.svf import check_geometry as check_svf
 
 
 @dataclass(frozen=True)
@@ -21,6 +23,10 @@ class CacheConfig:
     assoc: int
     line_size: int = 32
     latency: int = 3
+
+
+#: Line size of the timing model's decoupled stack cache.
+STACK_CACHE_LINE = 32
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,12 @@ class SVFConfig:
     def __post_init__(self):
         if self.mode not in ("none", "svf", "ideal", "stack_cache"):
             raise ValueError(f"unknown SVF mode {self.mode!r}")
+        if self.mode in ("svf", "stack_cache") and self.ports < 1:
+            raise ValueError(f"SVF ports must be at least 1, not {self.ports}")
+        if self.mode == "svf":
+            check_svf(self.capacity_bytes, self.granularity)
+        elif self.mode == "stack_cache":
+            check_stack_cache(self.capacity_bytes, STACK_CACHE_LINE)
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,12 @@ class MachineConfig:
     #: without an SVF (the no_addr_cal_op bar of Figure 6)
     no_addr_calc: bool = False
     svf: SVFConfig = field(default_factory=SVFConfig)
+
+    def __post_init__(self):
+        if self.dl1_ports < 1:
+            raise ValueError(
+                f"DL1 ports must be at least 1, not {self.dl1_ports}"
+            )
 
     def with_(self, **changes) -> "MachineConfig":
         """Return a modified copy (convenience for experiments)."""

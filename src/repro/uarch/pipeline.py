@@ -71,7 +71,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.trace.regions import STACK_REGION_FLOOR
 from repro.uarch.bpred import make_predictor
 from repro.uarch.cache import build_hierarchy
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import STACK_CACHE_LINE, MachineConfig
 from repro.uarch.resources import CycleWindow, grow_windows
 from repro.uarch.stats import SimStats
 
@@ -246,7 +246,9 @@ def _reference_stepper(trace: ColumnarTrace, config: MachineConfig):
         # spills can be re-read at L1 latency.
         svf.writeback_sink = lambda addr: dl1.access(addr, is_write=True)
     elif mode == "stack_cache":
-        stack_cache = StackCache(capacity_bytes=svf_conf.capacity_bytes)
+        stack_cache = StackCache(
+            capacity_bytes=svf_conf.capacity_bytes, line_size=STACK_CACHE_LINE
+        )
 
     # Resource pools as raw {cycle: units-used} dicts (CyclePool,
     # inlined): the earliest cycle >= floor with a free unit wins.
@@ -725,7 +727,9 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
         )
         svf.writeback_sink = lambda addr: dl1.access(addr, True)
     elif mode == "stack_cache":
-        stack_cache = StackCache(capacity_bytes=svf_conf.capacity_bytes)
+        stack_cache = StackCache(
+            capacity_bytes=svf_conf.capacity_bytes, line_size=STACK_CACHE_LINE
+        )
 
     n = columns.n
 

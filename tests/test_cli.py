@@ -124,6 +124,40 @@ class TestNonPositiveWindows:
         assert "must be a positive integer" in capsys.readouterr().err
 
 
+class TestBadMachineValues:
+    """Machine values the models cannot build are usage errors (exit 2,
+    one line), caught before any trace is recorded."""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["simulate", "gzip", "--capacity", "100", "--svf", "svf"],
+         "multiple of the granularity"),
+        (["simulate", "gzip", "--ports", "0", "--svf", "svf"],
+         "SVF ports"),
+        (["simulate", "gzip", "--capacity", "520", "--svf", "stack_cache"],
+         "multiple of the line"),
+        (["simulate", "gzip", "--dl1-ports", "0"], "DL1 ports"),
+        (["replay", "/no/such/trace.svft", "--svf", "svf", "--ports", "0"],
+         "SVF ports"),
+        (["predict", "--capacity", "0", "--benchmarks", "mcf",
+          "--max-instructions", "1000"], "capacity"),
+        (["predict", "--capacity", "520", "--benchmarks", "mcf",
+          "--max-instructions", "1000"], "multiple of the line"),
+    ])
+    def test_rejected_before_any_work(self, argv, fragment, capsys,
+                                      monkeypatch):
+        from repro.workloads.registry import Workload
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a trace was recorded")
+
+        monkeypatch.setattr(Workload, "trace", no_trace)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert fragment in err
+        assert err.count("\n") == 1
+
+
 class TestCharacterize:
     def test_single_workload(self, capsys):
         assert main(
@@ -379,6 +413,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("repro: ")
         assert "no such suite descriptor" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_svf_geometry_exits_before_running(self, tmp_path, capsys):
+        path = self.write_suite(
+            tmp_path, kind="traffic", base={"machine": {"svf_capacity": 100}},
+            grid={"svf_granularity": [16]},
+        )
+        assert main(["sweep", path]) == 2
+        err = capsys.readouterr().err
+        assert "multiple of the granularity" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_invalid_descriptor_is_usage_error(self, tmp_path, capsys):

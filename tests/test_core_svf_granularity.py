@@ -24,6 +24,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             StackValueFile(1000, granularity=16)
 
+    @pytest.mark.parametrize("granularity", [24, 40, 48])
+    def test_granularity_must_be_power_of_two(self, granularity):
+        # Granules are found by masking, so 40 would map 0x1028 to
+        # 0x1008: not a granule boundary.
+        with pytest.raises(ValueError, match="power of two"):
+            StackValueFile(granularity * 16, granularity=granularity)
+
+    @pytest.mark.parametrize("granularity", [8, 16, 32, 64])
+    def test_power_of_two_granularity_masks_to_boundaries(
+        self, granularity
+    ):
+        unit = StackValueFile(granularity * 16, granularity=granularity)
+        for addr in range(0x1000, 0x1100, 8):
+            granule = addr & unit._granule_mask
+            assert granule % granularity == 0
+            assert granule <= addr < granule + granularity
+
 
 class TestCoarseGranules:
     def test_quad_word_store_to_coarse_granule_fills(self):

@@ -14,6 +14,11 @@ Covers the regression contract of the bugfix PR:
 
 from __future__ import annotations
 
+import errno
+import os
+import pathlib
+import tempfile
+
 import pytest
 
 from repro.cli import main
@@ -156,6 +161,57 @@ class TestTraceCache:
             clear_trace_cache()
         assert cache.stats.stores == 1 and cache.stats.hits == 1
         assert len(first) == len(second) == 1_000
+
+
+class TestCacheWriteFaults:
+    """A disk that fails after the ``usable_cache_dir`` probe costs the
+    entry, never the cell.  Faults are injected errnos: the suite may
+    run as root, where a chmod-based test would pass vacuously."""
+
+    KEY = TestTraceCache.KEY
+
+    @staticmethod
+    def _refuse(code):
+        def refuse(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        return refuse
+
+    @pytest.mark.parametrize("target", ["mkstemp", "mkdir"])
+    def test_failed_writes_are_skipped_and_counted(
+        self, tmp_path, monkeypatch, target
+    ):
+        cache = TraceCache(str(tmp_path))
+        trace = workload("gzip").trace(max_instructions=500)
+        if target == "mkstemp":
+            monkeypatch.setattr(
+                tempfile, "mkstemp", self._refuse(errno.ENOSPC)
+            )
+        else:
+            monkeypatch.setattr(
+                pathlib.Path, "mkdir", self._refuse(errno.EROFS)
+            )
+        cell = TaskCell("table4", "164.gzip", 1_000, (("period", 3200),))
+        cache.store(self.KEY, trace)
+        cache.store_cell(cell, (1.5, 2.5))
+        cache.store_section("fig5", "key", "text")
+        stats = cache.stats
+        assert stats.write_errors == 3
+        assert stats.stores == stats.cell_stores == 0
+        assert stats.section_stores == 0
+        assert not [
+            path for path in tmp_path.rglob("*") if path.is_file()
+        ]
+
+    def test_cell_survives_a_full_disk(self, tmp_path, monkeypatch):
+        cell = TaskCell("fig5", "164.gzip", 1_000)
+        uncached = run_cells([cell], EngineOptions(jobs=1))[0]
+        monkeypatch.setattr(tempfile, "mkstemp", self._refuse(errno.ENOSPC))
+        outcome = run_cells(
+            [cell], EngineOptions(jobs=1, cache_dir=str(tmp_path))
+        )[0]
+        assert outcome.ok, outcome.error
+        assert outcome.payload == uncached.payload
 
 
 class TestEngine:

@@ -118,13 +118,20 @@ def test_partially_warm_group_recomputes_only_cold_members(
 
 
 def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
-    # svf_granularity=12 passes spec validation but the simulator
-    # rejects it (granularity must be a multiple of 8): the batched
-    # pass fails as a whole, falls back to sequential per-member
-    # execution, and only the bad member's row degrades — with the
-    # same bytes the unbatched run produces.
+    # The SVF of the svf_granularity=16 member fails at run time (spec
+    # validation rejects a bad granularity up front, so the fault is
+    # injected): the batched pass fails as a whole, falls back to
+    # sequential per-member execution, and only the bad member's row
+    # degrades — with the same bytes the unbatched run produces.
+    class FailingSVF(pipeline.StackValueFile):
+        def __init__(self, *args, granularity=8, **kwargs):
+            if granularity == 16:
+                raise ValueError("granularity 16 failed at run time")
+            super().__init__(*args, granularity=granularity, **kwargs)
+
+    monkeypatch.setattr(pipeline, "StackValueFile", FailingSVF)
     spec = timing_suite(
-        workloads=["gzip"], grid={"svf_granularity": [8, 12]}
+        workloads=["gzip"], grid={"svf_granularity": [8, 16]}
     )
     batched = _run(spec, tmp_path, "deg-b")
     plain = _run_unfused(monkeypatch, spec, tmp_path, "deg-p")
@@ -132,7 +139,7 @@ def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
         assert not result.ok
         bad = [row for row in result.rows if not row.ok]
         assert len(bad) == 1
-        assert bad[0].level("svf_granularity") == 12
+        assert bad[0].level("svf_granularity") == 16
         assert "granularity" in bad[0].error
         good = [row for row in result.rows if row.ok]
         assert len(good) == 1 and good[0].metrics["speedup"] > 0

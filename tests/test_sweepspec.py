@@ -96,6 +96,31 @@ def test_invalid_machine_point_caught_eagerly():
         parse_suite(suite_data(grid={"width": [8, 12]}))
 
 
+def test_traffic_svf_geometry_checked_at_load_time():
+    # The traffic model builds its SVF from every expanded pair, so a
+    # capacity that is not a multiple of the granularity is a usage
+    # error before anything runs, not a degraded row.
+    with pytest.raises(UsageError, match="svf_granularity=16"):
+        parse_suite(suite_data(
+            kind="traffic", base={"machine": {"svf_capacity": 100}},
+            grid={"svf_granularity": [16]},
+        ))
+    with pytest.raises(UsageError, match="power of two"):
+        parse_suite(suite_data(
+            kind="traffic", base=None,
+            grid={"svf_capacity": [520], "svf_granularity": [8, 40]},
+        ))
+
+
+def test_timing_svf_geometry_and_ports_checked_at_load_time():
+    with pytest.raises(UsageError, match="power of two"):
+        parse_suite(suite_data(grid={"svf_granularity": [8, 40]}))
+    with pytest.raises(UsageError, match="svf_ports=0"):
+        parse_suite(suite_data(grid={"svf_ports": [0, 1]}))
+    with pytest.raises(UsageError, match="dl1_ports=0"):
+        parse_suite(suite_data(grid={"dl1_ports": [0]}))
+
+
 def test_bad_opt_levels_rejected():
     with pytest.raises(UsageError, match="0 or 1"):
         parse_suite(suite_data(opt_levels=[0, 3]))

@@ -1,10 +1,21 @@
 """Tests for the first-touch analysis."""
 
+import random
+
+import pytest
+
 from repro.emulator.memory import STACK_BASE
 from repro.isa.instructions import OpClass
 from repro.isa.registers import SP
-from repro.trace.columnar import ColumnarTrace, SharedColumnarTrace
+from repro.trace.columnar import (
+    ColumnarTrace,
+    SharedColumnarTrace,
+    numpy_available,
+    set_numpy_enabled,
+)
+from repro.trace import first_touch
 from repro.trace.first_touch import FirstTouchProfile
+from repro.workloads.registry import all_inputs, workload
 from repro.trace.records import TraceRecord
 from repro.trace.serialization import pack_shared, shared_payload_size
 
@@ -101,6 +112,7 @@ def _state(profile):
         tuple(getattr(profile, name) for name in _FIELDS),
         sorted(profile._pending),
         profile._previous_sp,
+        sorted(profile._seen_other),
     )
 
 
@@ -126,9 +138,23 @@ def _assert_batched_matches_append(records, **options):
     return reference
 
 
+def _vectorize_every_slab(monkeypatch):
+    """Send every slab, however short, to the numpy leg."""
+    monkeypatch.setattr(first_touch, "_MIN_ARRAY_ROWS", 1)
+    previous = set_numpy_enabled(True)
+    yield
+    set_numpy_enabled(previous)
+
+
 class TestBatchedEdges:
     """``consume_columns`` against ``append`` where its range-based
-    frame bookkeeping has to fall back or reset."""
+    frame bookkeeping has to fall back or reset.  Every slab takes the
+    numpy leg when numpy is installed (``TestBatchedEdgesPythonLeg``
+    repeats them on the python walk)."""
+
+    @pytest.fixture(autouse=True)
+    def _leg(self, monkeypatch):
+        yield from _vectorize_every_slab(monkeypatch)
 
     def test_misaligned_sp(self):
         base = STACK_BASE
@@ -233,3 +259,116 @@ class TestBatchedEdges:
         shared.consume_columns(view, 20_000)
         assert _state(shared) == _state(owned)
         view.close()
+
+
+class TestBatchedEdgesPythonLeg(TestBatchedEdges):
+    """The same edges on the python walk (``TestBatchedEdges`` runs the
+    numpy leg whenever numpy is installed)."""
+
+    @pytest.fixture(autouse=True)
+    def _leg(self):
+        previous = set_numpy_enabled(False)
+        yield
+        set_numpy_enabled(previous)
+
+
+@pytest.fixture(params=["numpy", "python"])
+def leg(request, monkeypatch):
+    """Run a test on one first-touch leg, every slab on that leg."""
+    if request.param == "numpy":
+        if not numpy_available():
+            pytest.skip("numpy is not installed")
+        yield from _vectorize_every_slab(monkeypatch)
+    else:
+        previous = set_numpy_enabled(False)
+        yield
+        set_numpy_enabled(previous)
+
+
+def _fuzzed_walk(rng, length):
+    """A random ``$sp`` walk with stack and non-stack accesses.
+
+    Frames run deeper than the small allocation caps used below, freed
+    frames are re-allocated over touched words, loads come before
+    stores, and some update rows carry their own access.
+    """
+    top = STACK_BASE
+    sp = top - 64
+    records = [rec(0, sp=sp)]
+    for index in range(1, length):
+        roll = rng.random()
+        if roll < 0.12:
+            sp = max(sp - 8 * rng.choice((1, 2, 5, 12, 40)), top - 8192)
+            record = rec(index, sp=sp, sp_update=True)
+        elif roll < 0.22:
+            sp = min(sp + 8 * rng.choice((1, 2, 5, 12, 40)), top)
+            record = rec(index, sp=sp, sp_update=True)
+        elif roll < 0.3:
+            word = 0x1000_0000 + 8 * rng.randrange(24) + rng.randrange(8)
+            record = rec(index, sp=sp, **{
+                rng.choice(("load_at", "store_at")): word,
+            })
+        else:
+            addr = sp + rng.randrange(-16, 256)
+            record = rec(index, sp=sp, **{
+                rng.choice(("load_at", "store_at")): addr,
+            })
+        if record.sp_update and rng.random() < 0.3:
+            # The access on an update row comes before the update.
+            record.is_store = True
+            record.addr = sp + 8 * rng.randrange(-2, 4)
+            record.base_reg = SP
+        records.append(record)
+    return records
+
+
+class TestFuzzedWalks:
+    """Seeded ``$sp`` walks: both legs match ``append`` whole and in
+    chunks of 1, 7 and 313 rows (so boundaries fall on update rows)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_append(self, leg, seed):
+        rng = random.Random(seed)
+        records = _fuzzed_walk(rng, rng.randrange(50, 700))
+        cap = (2, 4, 4096)[seed % 3]
+        reference = FirstTouchProfile(allocation_cap=cap)
+        for record in records:
+            reference.append(record)
+        trace = _columns(records)
+        for chunk in (None, 1, 7, 313):
+            batched = FirstTouchProfile(allocation_cap=cap)
+            step = chunk or len(trace)
+            for lo in range(0, len(trace), step):
+                batched.consume_columns(trace, lo, lo + step)
+            assert _state(batched) == _state(reference), chunk
+        assert reference.stack_first_stores + reference.stack_first_loads
+
+
+class TestRegistryInputs:
+    """The numpy leg equals the python walk (itself checked against
+    ``append`` above) on a window of every registry input set, whole
+    and in 7,919-row chunks."""
+
+    WINDOW = 30_000
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @pytest.mark.parametrize(
+        "work",
+        all_inputs() + [workload("ext.x86mix")],
+        ids=lambda work: work.full_name,
+    )
+    def test_numpy_leg_matches_python_walk(self, work):
+        trace = work.trace(max_instructions=self.WINDOW)
+        states = []
+        for numpy_leg in (True, False):
+            previous = set_numpy_enabled(numpy_leg)
+            try:
+                whole = FirstTouchProfile()
+                whole.consume_columns(trace)
+                chunked = FirstTouchProfile()
+                for lo in range(0, len(trace), 7_919):
+                    chunked.consume_columns(trace, lo, lo + 7_919)
+            finally:
+                set_numpy_enabled(previous)
+            states += [_state(whole), _state(chunked)]
+        assert states[0] == states[1] == states[2] == states[3]

@@ -1,8 +1,12 @@
 """Tests for binary trace serialization."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.trace.serialization import (
+    MAGIC,
     TraceFormatError,
     load_trace,
     save_trace,
@@ -52,14 +56,61 @@ class TestErrors:
             load_trace(str(path))
 
     def test_truncated_file_rejected(self, gzip_trace, tmp_path):
-        path = tmp_path / "cut.svft"
-        save_trace(gzip_trace[:10], str(path))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-7])
-        with pytest.raises(TraceFormatError, match="truncated"):
+        # The CRC is recomputed, so only the length check can catch it.
+        path = _saved(gzip_trace[:10], tmp_path)
+        _rewrite(path, lambda body: body[:-7])
+        with pytest.raises(TraceFormatError, match="^truncated trace file"):
+            load_trace(str(path))
+
+    def test_trailing_bytes_rejected(self, gzip_trace, tmp_path):
+        path = _saved(gzip_trace[:10], tmp_path)
+        _rewrite(path, lambda body: body + b"\0" * 3)
+        with pytest.raises(TraceFormatError, match="^trailing bytes"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("cut", [0, 7, -7])
+    def test_corrupt_file_reports_checksum(self, gzip_trace, tmp_path, cut):
+        # A flipped bit, alone or in a file that is also cut short or
+        # padded: the checksum is what any corrupt file reports.
+        path = _saved(gzip_trace[:10], tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 1
+        if cut > 0:
+            blob += b"\0" * cut
+        elif cut < 0:
+            blob = blob[:cut]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceFormatError, match="^checksum mismatch"):
+            load_trace(str(path))
+
+    def test_first_bad_opcode_reported_by_value(self, gzip_trace, tmp_path):
+        path = _saved(gzip_trace[:10], tmp_path)
+
+        def corrupt(body):
+            opcodes = 8 + 8 * 10  # count, then the pc column
+            body[opcodes + 3] = 250
+            body[opcodes + 6] = 0
+            return body
+
+        _rewrite(path, corrupt)
+        with pytest.raises(TraceFormatError, match="^bad opcode 250 in"):
             load_trace(str(path))
 
     def test_empty_trace_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.svft")
         assert save_trace([], path) == 0
         assert load_trace(path) == []
+
+
+def _saved(trace, tmp_path):
+    path = tmp_path / "t.svft"
+    save_trace(trace, str(path))
+    return path
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the bytes after the CRC field, then re-sign."""
+    blob = path.read_bytes()
+    header = len(MAGIC) + 4
+    body = bytes(edit(bytearray(blob[header:])))
+    path.write_bytes(MAGIC + struct.pack("<I", zlib.crc32(body)) + body)
